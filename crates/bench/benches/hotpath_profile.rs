@@ -2,24 +2,17 @@
 //! workspace root) what the scheduling-engine work buys on the same
 //! 12-cell fig8-shaped sweep slice `engine_speedup` uses:
 //!
-//! 1. **calendar engine** — the default: incremental per-bank event
-//!    calendar over the memoized frontier (plus the lazy Row Hammer
-//!    ledger, batched PRINCE keystream, and translation cache) — the
-//!    headline `sim_cycles_per_sec.serial_calendar` number;
-//! 2. **frontier-walk engine** — `force_frontier_walk`: the previous PR's
-//!    fast path (active-bank bitmask walk over the same memo), measured
-//!    **interleaved** with leg 1 rep for rep so host drift hits both
-//!    sides equally — the `calendar_vs_frontier_walk` speedup is a
-//!    contemporaneous A/B, not a cross-commit comparison;
-//! 3. **unresolved calendar** — `force_unresolved_calendar`: the same
-//!    calendar clocking with the resolved-decision cache and CAS-burst
-//!    streaming defeated, isolating what decision memoization buys over
-//!    per-pass re-arbitration (context leg, not part of the gate);
-//! 4. **serial reference engine** — [`run_uncached`]: every runtime-
-//!    switchable fast path defeated, results bit-identical required;
-//! 5. **low-load A/B** — one spec-low cell (sparse traffic) measured
-//!    calendar-vs-walk as context for the saturated gate slice;
-//! 6. **phase breakdown** — with the `profiler` feature compiled in, a
+//! 1. **fast engine** — the default `Engine::Fast`: incremental per-bank
+//!    event calendar over the memoized frontier (plus the lazy Row Hammer
+//!    ledger, row-indexed FR-FCFS, batched PRINCE keystream, and
+//!    translation cache) — the headline
+//!    `sim_cycles_per_sec.serial_calendar` number;
+//! 2. **reference engine** — `Engine::Reference`: every runtime-switchable
+//!    fast path defeated, measured **interleaved** with leg 1 rep for rep
+//!    so host drift hits both sides equally — `calendar_vs_reference` is a
+//!    contemporaneous A/B, not a cross-commit comparison — and required
+//!    bit-identical to it;
+//! 3. **phase breakdown** — with the `profiler` feature compiled in, a
 //!    profiled sweep splits wall time into schedule / translate / ledger /
 //!    rng / device / calendar phases and measures the profiler's own
 //!    residual overhead. Phase timing is *sampled* (roughly one entry in
@@ -30,35 +23,32 @@
 //!    scale. The profiled run must still compare equal to the unprofiled
 //!    one (`SimReport` equality ignores the profile).
 //!
-//! The calendar leg also records the engine's work-avoidance counters:
+//! The fast leg also records the engine's work-avoidance counters:
 //! scheduling passes per simulated kilocycle, the skipped-cycle ratio
 //! (fraction of simulated cycles no pass examined at all), and the
 //! hoisted-gate skip counters (bank visits short-circuited by the
 //! per-pass rank gate, passes short-circuited by the channel bus gate).
 //!
-//! Without `--features profiler` the bench still runs legs 1–4 and records
+//! Without `--features profiler` the bench still runs legs 1–2 and records
 //! `"profiler_compiled": false` with a null phase table. Tune the slice
 //! with `SHADOW_BENCH_REQS` (the CI smoke run uses 2000; the checked-in
-//! artifact uses the default 60 000). `SHADOW_BENCH_ASSERT_DIRECTION=1`
-//! turns the calendar-vs-walk comparison into a hard assert on *direction*
-//! only (calendar must not be slower) — the CI smoke's perf check, with no
-//! absolute thresholds that would flake on shared runners.
+//! artifact uses the default 60 000).
 
 use std::time::Instant;
 
 use shadow_bench::{
     banner, engine_sweep_cells, host_cpus, provenance_json, request_target, run_cells_with,
-    run_uncached, workspace_root,
+    workspace_root,
 };
+use shadow_memsys::Engine;
 use shadow_sim::profiler::{profiler_compiled, Phase, PhaseProfile, SAMPLE_RATE};
 
 /// PR1's recorded `sim_cycles_per_sec.serial_cached` from
 /// `BENCH_engine.json` — kept for cross-PR context in the artifact. Wall
 /// clock is only comparable on the same host at the same time, so
 /// reproduction runs should re-measure the old engine and pass the result
-/// through `SHADOW_BENCH_BASELINE_CPS`; within this binary the
-/// frontier-walk leg *is* the previous engine, so the headline A/B needs
-/// no environment at all.
+/// through `SHADOW_BENCH_BASELINE_CPS`; within this binary the reference
+/// leg is the A/B, so the headline comparison needs no environment at all.
 const PR1_SERIAL_CACHED_CPS: f64 = 1_250_031.425_1;
 
 /// Returns the cross-commit baseline cycles/sec plus a provenance tag for
@@ -127,7 +117,7 @@ fn json_f(v: f64) -> String {
 }
 
 fn main() {
-    banner("Hot-path profile: event calendar vs frontier walk vs reference");
+    banner("Hot-path profile: fast engine vs reference engine");
     let cells = engine_sweep_cells();
     println!(
         "sweep: {} cells ({} requests each), serial, {} host CPU(s), profiler {}",
@@ -142,19 +132,11 @@ fn main() {
     );
     println!("(best of {} interleaved repetitions per engine)", repeats());
 
-    let walk_cells: Vec<_> = cells
+    let reference_cells: Vec<_> = cells
         .iter()
         .cloned()
         .map(|(mut cfg, w, s)| {
-            cfg.force_frontier_walk = true;
-            (cfg, w, s)
-        })
-        .collect();
-    let unresolved_cells: Vec<_> = cells
-        .iter()
-        .cloned()
-        .map(|(mut cfg, w, s)| {
-            cfg.force_unresolved_calendar = true;
+            cfg.engine = Engine::Reference;
             (cfg, w, s)
         })
         .collect();
@@ -164,88 +146,26 @@ fn main() {
     // `SHADOW_BENCH_REPEATS=1`.
     let _ = run_cells_with(1, vec![cells[0].clone()]);
 
-    // 1+2. Calendar vs frontier walk, interleaved rep for rep.
-    let ((calendar, calendar_secs), (walk, walk_secs)) = best_of_ab(
+    // 1+2. Fast vs reference engine, interleaved rep for rep.
+    let ((calendar, calendar_secs), (reference, reference_secs)) = best_of_ab(
         || run_cells_with(1, cells.clone()),
-        || run_cells_with(1, walk_cells.clone()),
+        || run_cells_with(1, reference_cells.clone()),
     );
 
-    // 2b. Resolved-decision A/B (context): the same calendar engine with
-    //     the decision cache and CAS-burst streaming defeated
-    //     (`force_unresolved_calendar`) — what resolved entries buy over
-    //     per-pass re-arbitration, inside the same clocking engine.
-    let (unresolved, unresolved_secs) = best_of(|| run_cells_with(1, unresolved_cells.clone()));
-
-    // 3. Serial reference engine: translation cache, frontier memo, event
-    //    calendar, active-bank worklist, and lazy ledger all defeated.
-    let (reference, reference_secs) = best_of(|| {
-        cells
-            .iter()
-            .map(|(cfg, w, s)| run_uncached(*cfg, w, *s))
-            .collect::<Vec<_>>()
-    });
-
     // Fidelity gate: the engines must not change a single outcome.
-    for (i, (((c, w), u), r)) in calendar
-        .iter()
-        .zip(&walk)
-        .zip(&unresolved)
-        .zip(&reference)
-        .enumerate()
-    {
+    for (i, (c, r)) in calendar.iter().zip(&reference).enumerate() {
         assert_eq!(
-            c.report, w.report,
-            "calendar engine changed outcome of cell {i} ({:?})",
-            cells[i]
-        );
-        assert_eq!(
-            c.report, u.report,
-            "resolved-decision cache changed outcome of cell {i} ({:?})",
-            cells[i]
-        );
-        assert_eq!(
-            &c.report, r,
+            c.report, r.report,
             "fast path changed outcome of cell {i} ({:?})",
             cells[i]
         );
     }
     println!(
-        "fidelity: all {} cells bit-identical across calendar, unresolved, walk, and reference",
+        "fidelity: all {} cells bit-identical across fast and reference",
         cells.len()
     );
 
-    // 4. Low-load A/B (context, not part of the gate): the same system
-    //    driven by the compute-bound spec-low mix, whose request gaps run
-    //    in the thousands of cycles — the sparse-traffic regime
-    //    cycle-level event skipping is built for. The 12 gate cells above
-    //    are bus-saturated (a command nearly every other cycle per
-    //    channel), which bounds what any scheduler-side change can save
-    //    there; this leg records what the calendar buys when the bus is
-    //    mostly idle.
-    let low_cells: Vec<_> = vec![{
-        let (cfg, _, s) = cells[1].clone();
-        (cfg, "spec-low".to_string(), s)
-    }];
-    let low_walk_cells: Vec<_> = low_cells
-        .iter()
-        .cloned()
-        .map(|(mut cfg, w, s)| {
-            cfg.force_frontier_walk = true;
-            (cfg, w, s)
-        })
-        .collect();
-    let ((low_cal, low_cal_secs), (low_walk, low_walk_secs)) = best_of_ab(
-        || run_cells_with(1, low_cells.clone()),
-        || run_cells_with(1, low_walk_cells.clone()),
-    );
-    assert_eq!(
-        low_cal[0].report, low_walk[0].report,
-        "calendar engine changed outcome of the low-load cell"
-    );
-    let low_cycles = low_cal[0].report.cycles;
-    let low_skipped = 1.0 - low_cal[0].report.pass_cycles as f64 / low_cycles.max(1) as f64;
-
-    // 5. Profiled calendar sweep (feature-gated): phase breakdown plus the
+    // 3. Profiled fast sweep (feature-gated): phase breakdown plus the
     //    profiler's own overhead.
     let mut profiled_secs = None;
     let mut phases: Option<PhaseProfile> = None;
@@ -295,19 +215,13 @@ fn main() {
     let passes_per_kcycle = sched_passes as f64 * 1000.0 / sim_cycles.max(1) as f64;
     let skipped_ratio = 1.0 - pass_cycles as f64 / sim_cycles.max(1) as f64;
     let calendar_cps = sim_cycles as f64 / calendar_secs;
-    let walk_cps = sim_cycles as f64 / walk_secs;
     let reference_cps = sim_cycles as f64 / reference_secs;
     let (baseline, baseline_source) = baseline_cps();
-    let unresolved_cps = sim_cycles as f64 / unresolved_secs;
     println!("serial reference : {reference_secs:>8.2} s  ({reference_cps:>12.1} cycles/s)");
-    println!("frontier walk    : {walk_secs:>8.2} s  ({walk_cps:>12.1} cycles/s)");
-    println!("unresolved cal.  : {unresolved_secs:>8.2} s  ({unresolved_cps:>12.1} cycles/s)");
-    println!("event calendar   : {calendar_secs:>8.2} s  ({calendar_cps:>12.1} cycles/s)");
+    println!("fast (calendar)  : {calendar_secs:>8.2} s  ({calendar_cps:>12.1} cycles/s)");
     println!(
-        "speedup          : {:.2}x vs frontier walk (interleaved A/B), {:.2}x vs unresolved \
-         calendar, {:.2}x vs reference, {:.2}x vs PR1 serial_cached ({baseline:.1} cycles/s)",
-        walk_secs / calendar_secs,
-        unresolved_secs / calendar_secs,
+        "speedup          : {:.2}x vs reference (interleaved A/B), {:.2}x vs PR1 \
+         serial_cached ({baseline:.1} cycles/s)",
         reference_secs / calendar_secs,
         calendar_cps / baseline
     );
@@ -319,12 +233,6 @@ fn main() {
     println!(
         "hoisted gates    : {gate_rank_skips_total} bank visits skipped by the rank gate, \
          {gate_bus_skips} passes skipped by the bus gate"
-    );
-    println!(
-        "low-load leg     : spec-low/Shadow ({low_cycles} cycles), {:.2}x vs frontier walk, \
-         {:.1}% cycles skipped (context, not part of the gate)",
-        low_walk_secs / low_cal_secs,
-        low_skipped * 100.0
     );
     if let (Some(secs), Some(p)) = (profiled_secs, &phases) {
         let overhead = (secs / calendar_secs - 1.0) * 100.0;
@@ -349,30 +257,6 @@ fn main() {
                 p.timed(ph)
             );
         }
-    }
-
-    let ab_speedup = walk_secs / calendar_secs;
-    let resolved_speedup = unresolved_secs / calendar_secs;
-    let sched_share = phases.as_ref().map(|p| {
-        p.estimated_nanos(Phase::Schedule) as f64 / p.total_estimated_nanos().max(1) as f64
-    });
-    let calendar_share = phases.as_ref().map(|p| {
-        p.estimated_nanos(Phase::Calendar) as f64 / p.total_estimated_nanos().max(1) as f64
-    });
-    let sched_cal_share = sched_share.zip(calendar_share).map(|(s, c)| s + c);
-    let gate_met = ab_speedup >= 2.0 && sched_cal_share.is_some_and(|s| s < 0.55);
-
-    // CI perf-direction smoke (`SHADOW_BENCH_ASSERT_DIRECTION=1`): the
-    // calendar engine must not be *slower* than the frontier walk it
-    // superseded. Direction only — no absolute thresholds, so the check is
-    // meaningful on noisy shared runners where wall-clock targets are not.
-    if std::env::var("SHADOW_BENCH_ASSERT_DIRECTION").as_deref() == Ok("1") {
-        assert!(
-            calendar_secs <= walk_secs,
-            "perf direction regressed: calendar {calendar_secs:.3}s is slower than \
-             frontier walk {walk_secs:.3}s on this slice"
-        );
-        println!("perf direction   : ok (calendar <= frontier walk)");
     }
 
     // Hand-rolled JSON artifact (the workspace carries no serde).
@@ -418,11 +302,9 @@ fn main() {
     let json = format!(
         "{{\n  \"sweep_cells\": {},\n  \"requests_per_cell\": {},\n  \"host_cpus\": {},\n  \
          \"profiler_compiled\": {},\n  \"sim_cycles_total\": {},\n  \"wall_secs\": {{\n    \
-         \"serial_reference\": {},\n    \"serial_frontier_walk\": {},\n    \
-         \"serial_unresolved_calendar\": {},\n    \
+         \"serial_reference\": {},\n    \
          \"serial_calendar\": {},\n    \"serial_calendar_profiled\": {}\n  \
          }},\n  \"sim_cycles_per_sec\": {{\n    \"serial_reference\": {},\n    \
-         \"serial_frontier_walk\": {},\n    \"serial_unresolved_calendar\": {},\n    \
          \"serial_calendar\": {}\n  \
          }},\n  \"sched\": {{\n    \"passes\": {},\n    \"pass_cycles\": {},\n    \
          \"passes_per_kilocycle\": {},\n    \"skipped_cycle_ratio\": {},\n    \
@@ -430,21 +312,9 @@ fn main() {
          \"gate_bus_skips\": {}\n  \
          }},\n  \"baseline\": {{ \"name\": \"pr1_serial_cached\", \"cycles_per_sec\": {}, \
          \"source\": \"{}\" }},\n  \
-         \"speedup\": {{\n    \"calendar_vs_frontier_walk\": {},\n    \
-         \"calendar_vs_unresolved_calendar\": {},\n    \
+         \"speedup\": {{\n    \
          \"calendar_vs_reference\": {},\n    \"calendar_vs_pr1_serial_cached\": {}\n  \
-         }},\n  \"gate\": {{\n    \"target_calendar_vs_frontier_walk\": 2.0,\n    \
-         \"measured_calendar_vs_frontier_walk\": {},\n    \
-         \"target_schedule_plus_calendar_share_below\": 0.55,\n    \
-         \"measured_schedule_share\": {},\n    \"measured_calendar_share\": {},\n    \
-         \"measured_schedule_plus_calendar_share\": {},\n    \
-         \"met\": {},\n    \"note\": \"the 12 gate cells are bus-saturated; see \
-         EXPERIMENTS.md for the dense-regime analysis and the low_load leg for the \
-         sparse-traffic regime\"\n  }},\n  \
-         \"low_load\": {{\n    \"workload\": \"spec-low\",\n    \"scheme\": \"Shadow\",\n    \
-         \"sim_cycles\": {},\n    \"wall_secs\": {{ \"serial_frontier_walk\": {}, \
-         \"serial_calendar\": {} }},\n    \"calendar_vs_frontier_walk\": {},\n    \
-         \"skipped_cycle_ratio\": {}\n  }},\n  \
+         }},\n  \
          \"profiler_overhead_pct\": {},\n  \"sampling\": {},\n  \"phases\": {},\n  \
          \"provenance\": {},\n  \
          \"bit_identical\": true\n}}\n",
@@ -454,13 +324,9 @@ fn main() {
         profiler_compiled(),
         sim_cycles,
         json_f(reference_secs),
-        json_f(walk_secs),
-        json_f(unresolved_secs),
         json_f(calendar_secs),
         profiled_secs.map_or("null".to_string(), json_f),
         json_f(reference_cps),
-        json_f(walk_cps),
-        json_f(unresolved_cps),
         json_f(calendar_cps),
         sched_passes,
         pass_cycles,
@@ -471,20 +337,8 @@ fn main() {
         gate_bus_skips,
         json_f(baseline),
         baseline_source,
-        json_f(ab_speedup),
-        json_f(resolved_speedup),
         json_f(reference_secs / calendar_secs),
         json_f(calendar_cps / baseline),
-        json_f(ab_speedup),
-        sched_share.map_or("null".to_string(), json_f),
-        calendar_share.map_or("null".to_string(), json_f),
-        sched_cal_share.map_or("null".to_string(), json_f),
-        gate_met,
-        low_cycles,
-        json_f(low_walk_secs),
-        json_f(low_cal_secs),
-        json_f(low_walk_secs / low_cal_secs),
-        json_f(low_skipped),
         profiled_secs.map_or("null".to_string(), |s| {
             json_f((s / calendar_secs - 1.0) * 100.0)
         }),

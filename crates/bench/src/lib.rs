@@ -59,10 +59,10 @@ use std::sync::Mutex;
 
 use shadow_core::bank::ShadowConfig;
 use shadow_core::timing::ShadowTiming;
-use shadow_memsys::{MemSystem, SimError, SimReport, SystemConfig};
+use shadow_memsys::{Engine, MemSystem, SimError, SimReport, SystemConfig};
 use shadow_mitigations::{
     BlockHammer, Dapper, Drr, Filtered, Graphene, Mithril, MithrilClass, Mitigation, NoMitigation,
-    Panopticon, Para, Parfm, Prac, Retranslate, Rrs, ShadowMitigation,
+    Panopticon, Para, Parfm, Prac, Rrs, ShadowMitigation,
 };
 use shadow_rh::RhParams;
 use shadow_workloads::graph::GraphStream;
@@ -525,39 +525,17 @@ pub fn run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport 
     report
 }
 
-/// Like [`run`] but with every engine fast path defeated — the
-/// pre-optimization reference engine. [`Retranslate`] reports a fresh remap
-/// epoch on every query, so every scheduling pass re-translates every
-/// queued request; `force_full_scan` degrades the scheduler back to the
-/// full O(total banks) walk and bypasses the frontier memo;
-/// `force_eager_ledger` builds every Row Hammer ledger in eager reference
-/// mode (immediate restores, full-scan `hottest()`); and
-/// `force_linear_frfcfs` replaces the per-bank row index with the linear
-/// queue scan for FR-FCFS hit selection. The table-driven
+/// Like [`run`] but on [`Engine::Reference`], the pre-optimization engine
+/// with every runtime-switchable fast path defeated: a translation per
+/// lookup, the full O(total banks) scan with no frontier memo, eager Row
+/// Hammer ledgers, and the linear FR-FCFS queue walk. The table-driven
 /// PRINCE core has no runtime switch — it is pinned to the published test
 /// vectors instead. Must produce a report identical to [`run`]; the
 /// determinism tests and the engine-speedup artifact both lean on that.
 pub fn run_uncached(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport {
     let mut cfg = cfg;
-    cfg.force_full_scan = true;
-    cfg.force_eager_ledger = true;
-    cfg.force_linear_frfcfs = true;
-    let oracle = oracle_enabled();
-    if oracle && cfg.trace_depth == 0 {
-        cfg.trace_depth = ORACLE_TRACE_DEPTH;
-    }
-    let streams = workload(
-        workload_name,
-        &cfg,
-        0xACE0_0000 + workload_name.len() as u64,
-    );
-    let mitigation = Box::new(Retranslate::new(build_mitigation(scheme, &cfg)));
-    let mut sys = MemSystem::new(cfg, streams, mitigation);
-    let report = sys.run();
-    if oracle {
-        oracle_check(&mut sys, &cfg, scheme, workload_name);
-    }
-    report
+    cfg.engine = Engine::Reference;
+    run(cfg, workload_name, scheme)
 }
 
 /// Host CPU count visible to the process. Recorded in the bench JSON
@@ -782,31 +760,21 @@ pub fn timed_run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> Cell
     }
 }
 
-/// Which engine a checked run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// All fast paths on (translation cache, frontier memo, lazy ledger) —
-    /// what [`run`] uses.
-    Fast,
-    /// Every fast path defeated — what [`run_uncached`] uses. The isolated
-    /// runner retries a failed cell here: if the retry succeeds, the
-    /// fast path diverged from the reference engine and the cell result
-    /// says so.
-    Reference,
-}
-
 /// Fallible, watchdog-aware [`timed_run`]: typed errors instead of
 /// panics for unknown workloads, invalid configs, and watchdog stalls.
 ///
 /// When the config leaves the watchdog off, `SHADOW_BENCH_WATCHDOG`
 /// (cycles) arms it sweep-wide; cells that configure their own window keep
-/// it. [`EngineMode::Reference`] additionally defeats every engine fast
-/// path exactly like [`run_uncached`].
+/// it. [`Engine::Reference`] runs the cell on the reference engine exactly
+/// like [`run_uncached`] — the isolated runner retries a failed cell there:
+/// if the retry succeeds, the fast path diverged from the reference engine
+/// and the cell result says so. [`Engine::Fast`] keeps the cell's own
+/// engine.
 pub fn try_timed_run(
     cfg: SystemConfig,
     workload_name: &str,
     scheme: Scheme,
-    mode: EngineMode,
+    mode: Engine,
 ) -> Result<CellResult, BenchError> {
     let mut cfg = cfg;
     apply_intra_threads(&mut cfg);
@@ -817,10 +785,8 @@ pub fn try_timed_run(
     if oracle && cfg.trace_depth == 0 {
         cfg.trace_depth = ORACLE_TRACE_DEPTH;
     }
-    if mode == EngineMode::Reference {
-        cfg.force_full_scan = true;
-        cfg.force_eager_ledger = true;
-        cfg.force_linear_frfcfs = true;
+    if mode == Engine::Reference {
+        cfg.engine = Engine::Reference;
     }
     let streams = try_workload(
         workload_name,
@@ -828,10 +794,6 @@ pub fn try_timed_run(
         0xACE0_0000 + workload_name.len() as u64,
     )?;
     let mitigation = build_mitigation(scheme, &cfg);
-    let mitigation: Box<dyn Mitigation> = match mode {
-        EngineMode::Fast => mitigation,
-        EngineMode::Reference => Box::new(Retranslate::new(mitigation)),
-    };
     let t0 = std::time::Instant::now();
     let mut sys = MemSystem::try_new(cfg, streams, mitigation)?;
     let report = sys.run_checked()?;

@@ -23,8 +23,8 @@
 //! lines — the signature of a kill mid-write — are skipped, not fatal.
 
 use crate::json::{report_from_json, report_to_json, Json};
-use crate::{panic_message, run_parallel, BenchError, Cell, CellResult, EngineMode};
-use shadow_memsys::{SimError, StallSnapshot};
+use crate::{panic_message, run_parallel, BenchError, Cell, CellResult};
+use shadow_memsys::{Engine, SimError, StallSnapshot};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Mutex};
 /// `shadow_conformance::FaultyMitigation`, proving the isolation and
 /// retry paths against *manufactured* failures. `Arc` because
 /// deadline-guarded attempts run the cell on a dedicated thread.
-pub type CellRunner = Arc<dyn Fn(Cell, EngineMode) -> Result<CellResult, BenchError> + Send + Sync>;
+pub type CellRunner = Arc<dyn Fn(Cell, Engine) -> Result<CellResult, BenchError> + Send + Sync>;
 
 /// The production cell runner: [`crate::try_timed_run`].
 pub fn default_runner() -> CellRunner {
@@ -635,7 +635,7 @@ enum Attempt {
 }
 
 /// Runs one cell under `catch_unwind`, optionally on a deadline thread.
-fn attempt(cell: &Cell, mode: EngineMode, deadline_secs: Option<f64>, run: &CellRunner) -> Attempt {
+fn attempt(cell: &Cell, mode: Engine, deadline_secs: Option<f64>, run: &CellRunner) -> Attempt {
     match deadline_secs {
         None => match catch_unwind(AssertUnwindSafe(|| run(cell.clone(), mode))) {
             Ok(res) => Attempt::Done(res),
@@ -663,7 +663,7 @@ fn attempt(cell: &Cell, mode: EngineMode, deadline_secs: Option<f64>, run: &Cell
 
 /// Once-only reference-engine retry of a failed cell.
 fn retry_reference(cell: &Cell, deadline_secs: Option<f64>, run: &CellRunner) -> RetryOutcome {
-    match attempt(cell, EngineMode::Reference, deadline_secs, run) {
+    match attempt(cell, Engine::Reference, deadline_secs, run) {
         Attempt::Done(Ok(r)) => RetryOutcome::Recovered(Box::new(r)),
         Attempt::Done(Err(e)) => RetryOutcome::AlsoFailed(e.to_string()),
         Attempt::Panicked(m) => RetryOutcome::AlsoFailed(format!("reference retry panicked: {m}")),
@@ -719,7 +719,7 @@ pub fn run_cell_with_retry(
             scheme: cell.2.name(),
             attempt: attempt_no,
         });
-        let failed = match attempt(cell, EngineMode::Fast, deadline_secs, run) {
+        let failed = match attempt(cell, Engine::Fast, deadline_secs, run) {
             Attempt::Done(Ok(r)) => return (CellOutcome::Ok(r), attempt_no),
             Attempt::Done(Err(BenchError::Sim(SimError::Stalled(snap)))) => {
                 FailedAttempt::Stalled(snap)

@@ -5,13 +5,14 @@
 //! runner are pure performance work: none may change a single simulated
 //! outcome. These tests pin that, field for field, against the reference
 //! engine ([`run_uncached`]: translate-every-time, the original full-bank
-//! scan with per-bank frontier recompute, and the eager ledger) on runs
+//! scan with per-bank frontier recompute, the linear FR-FCFS walk, and
+//! the eager ledger) on runs
 //! where the fast paths are actually exercised — SHADOW and RRS remap
 //! rows *mid-run*, so a stale cache entry would steer FR-FCFS at the
 //! first shuffle or swap.
 
 use shadow_bench::{run, run_cells_with, run_uncached, Cell, Scheme};
-use shadow_memsys::{MemSystem, SystemConfig};
+use shadow_memsys::{Engine, MemSystem, SystemConfig};
 
 fn small_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
@@ -142,62 +143,47 @@ fn sharded_engine_equals_serial_at_any_thread_count() {
     }
 }
 
-/// The event-calendar engine (the default) is pure performance work: its
-/// lazy heap — stale entries discarded on pop, seq-counter invalidation,
-/// monotone-later couplings left unrepaired — must produce the
-/// byte-identical report *and* command trace of both scan engines
-/// (`force_frontier_walk` and `force_full_scan`). Exercised on the two
-/// schemes that remap rows mid-run, where a stale frontier event landing
-/// one cycle late would steer FR-FCFS at the first shuffle or swap, plus
-/// DAPPER, whose decrement-on-RFM tracker ties eviction state to exact
-/// RFM cycles. (PRAC/PRACtical get the same four-engine agreement check,
-/// with ABO recovery actually firing, in
+/// The fast engine (the default) is pure performance work: its event
+/// calendar's lazy heap — stale entries discarded on pop, seq-counter
+/// invalidation, monotone-later couplings left unrepaired — must produce
+/// the byte-identical report *and* command trace of the reference engine.
+/// Exercised on the two schemes that remap rows mid-run, where a stale
+/// frontier event landing one cycle late would steer FR-FCFS at the first
+/// shuffle or swap, plus DAPPER, whose decrement-on-RFM tracker ties
+/// eviction state to exact RFM cycles. (PRAC/PRACtical get the same
+/// agreement check, with ABO recovery actually firing, in
 /// `crates/memsys/tests/properties.rs::prac_abo_recovery_engines_agree` —
 /// this config's spread stream never trips a per-row counter.)
 #[test]
-fn calendar_engine_equals_walk_and_scan() {
+fn fast_engine_equals_reference_with_traces() {
     let mut cfg = small_cfg();
     cfg.trace_depth = 1 << 20;
     for scheme in [Scheme::Shadow, Scheme::Rrs, Scheme::Dapper] {
-        let run_with = |walk: bool, scan: bool| {
+        let run_with = |engine: Engine| {
             let mut cfg = cfg;
-            cfg.force_frontier_walk = walk;
-            cfg.force_full_scan = scan;
+            cfg.engine = engine;
             let streams = shadow_bench::workload("random-stream", &cfg, 0xACE0_00CA);
             let mut sys =
                 MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
             let report = sys.run();
             (report, sys.take_trace().expect("tracing enabled"))
         };
-        let (cal_report, cal_trace) = run_with(false, false);
-        let (walk_report, walk_trace) = run_with(true, false);
-        let (scan_report, scan_trace) = run_with(false, true);
+        let (fast_report, fast_trace) = run_with(Engine::Fast);
+        let (reference_report, reference_trace) = run_with(Engine::Reference);
         assert!(
-            cal_report.commands.get("RFM") > 0 || cal_report.channel_blocked_cycles > 0,
+            fast_report.commands.get("RFM") > 0 || fast_report.channel_blocked_cycles > 0,
             "run too small: no mid-run remaps exercised the calendar"
         );
         assert_eq!(
-            cal_report,
-            walk_report,
-            "calendar diverged from frontier walk under {}",
+            fast_report,
+            reference_report,
+            "fast engine diverged from reference under {}",
             scheme.name()
         );
         assert_eq!(
-            cal_trace,
-            walk_trace,
-            "calendar trace diverged from frontier walk under {}",
-            scheme.name()
-        );
-        assert_eq!(
-            cal_report,
-            scan_report,
-            "calendar diverged from full scan under {}",
-            scheme.name()
-        );
-        assert_eq!(
-            cal_trace,
-            scan_trace,
-            "calendar trace diverged from full scan under {}",
+            fast_trace,
+            reference_trace,
+            "fast engine trace diverged from reference under {}",
             scheme.name()
         );
     }
@@ -217,16 +203,17 @@ fn trace_recorder_does_not_change_outcomes() {
     }
 }
 
-/// The lazy stamp-based Row Hammer ledger must equal the eager reference
-/// ledger on schemes that lean on every ledger entry point: SHADOW's
-/// shuffles deposit + restore, RRS swaps restore pairs, and refresh
+/// The lazy stamp-based Row Hammer ledger (fast engine) must equal the
+/// eager ledger (reference engine) on schemes that lean on every ledger
+/// entry point: SHADOW's shuffles deposit + restore, RRS swaps restore
+/// pairs, PARA's probabilistic refreshes restore single rows, and refresh
 /// sweeps drive the aligned `restore_block` fast path everywhere.
 #[test]
 fn lazy_ledger_matches_eager_reference() {
     for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Para] {
         let lazy = run(small_cfg(), "random-stream", scheme);
         let mut eager_cfg = small_cfg();
-        eager_cfg.force_eager_ledger = true;
+        eager_cfg.engine = Engine::Reference;
         let eager = run(eager_cfg, "random-stream", scheme);
         assert_eq!(
             lazy,

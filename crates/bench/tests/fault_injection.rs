@@ -11,12 +11,11 @@ use shadow_bench::runner::{
     RetryOutcome, RetryPolicy, SweepOptions,
 };
 use shadow_bench::{
-    build_mitigation, run_parallel_isolated, try_workload, BenchError, Cell, CellResult,
-    EngineMode, Scheme,
+    build_mitigation, run_parallel_isolated, try_workload, BenchError, Cell, CellResult, Scheme,
 };
 use shadow_conformance::{Fault, FaultyMitigation};
-use shadow_memsys::{MemSystem, SystemConfig};
-use shadow_mitigations::{Mitigation, Retranslate};
+use shadow_memsys::{Engine, MemSystem, SystemConfig};
+use shadow_mitigations::Mitigation;
 use std::sync::Arc;
 
 /// Mirrors `try_timed_run`, optionally wrapping the mitigation in a
@@ -24,24 +23,20 @@ use std::sync::Arc;
 /// fault also fires on the reference-engine retry.
 fn run_with_fault(
     cell: Cell,
-    mode: EngineMode,
+    mode: Engine,
     fault: Option<Fault>,
     fault_in_reference: bool,
 ) -> Result<CellResult, BenchError> {
     let (mut cfg, workload, scheme) = cell;
-    if mode == EngineMode::Reference {
-        cfg.force_full_scan = true;
-        cfg.force_eager_ledger = true;
+    if mode == Engine::Reference {
+        cfg.engine = Engine::Reference;
     }
     let streams = try_workload(&workload, &cfg, 0xACE0_0000 + workload.len() as u64)?;
     let mut mitigation: Box<dyn Mitigation> = build_mitigation(scheme, &cfg);
     if let Some(f) = fault {
-        if mode == EngineMode::Fast || fault_in_reference {
+        if mode == Engine::Fast || fault_in_reference {
             mitigation = Box::new(FaultyMitigation::new(mitigation, f));
         }
-    }
-    if mode == EngineMode::Reference {
-        mitigation = Box::new(Retranslate::new(mitigation));
     }
     let t0 = std::time::Instant::now();
     let mut sys = MemSystem::try_new(cfg, streams, mitigation)?;
@@ -138,8 +133,8 @@ fn stalled_cell_recovers_on_reference_and_reports_divergence() {
             );
             match retry {
                 RetryOutcome::Recovered(reference) => {
-                    let clean = run_with_fault(cell, EngineMode::Fast, None, false)
-                        .expect("fault-free run");
+                    let clean =
+                        run_with_fault(cell, Engine::Fast, None, false).expect("fault-free run");
                     assert_eq!(
                         reference.report, clean.report,
                         "recovered reference result must match a fault-free run"

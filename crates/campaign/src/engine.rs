@@ -21,11 +21,10 @@ use shadow_bench::runner::{
 };
 use shadow_bench::{
     bench_threads, build_mitigation, run_parallel, try_workload, BenchError, Cell, CellResult,
-    EngineMode,
 };
 use shadow_conformance::{Fault, FaultyMitigation};
-use shadow_memsys::MemSystem;
-use shadow_mitigations::{Mitigation, Retranslate};
+use shadow_memsys::{Engine, MemSystem};
+use shadow_mitigations::Mitigation;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
@@ -381,23 +380,18 @@ fn resolve(base: Option<&Path>, p: &Path) -> PathBuf {
 /// `[[fault]]` recipe entries.
 fn run_with_fault(
     cell: Cell,
-    mode: EngineMode,
+    mode: Engine,
     fault: Fault,
     in_reference: bool,
 ) -> Result<CellResult, BenchError> {
     let (mut cfg, workload, scheme) = cell;
-    if mode == EngineMode::Reference {
-        cfg.force_full_scan = true;
-        cfg.force_eager_ledger = true;
-        cfg.force_linear_frfcfs = true;
+    if mode == Engine::Reference {
+        cfg.engine = Engine::Reference;
     }
     let streams = try_workload(&workload, &cfg, 0xACE0_0000 + workload.len() as u64)?;
     let mut mitigation: Box<dyn Mitigation> = build_mitigation(scheme, &cfg);
-    if mode == EngineMode::Fast || in_reference {
+    if mode == Engine::Fast || in_reference {
         mitigation = Box::new(FaultyMitigation::new(mitigation, fault));
-    }
-    if mode == EngineMode::Reference {
-        mitigation = Box::new(Retranslate::new(mitigation));
     }
     let t0 = std::time::Instant::now();
     let mut sys = MemSystem::try_new(cfg, streams, mitigation)?;

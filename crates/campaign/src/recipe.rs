@@ -23,7 +23,7 @@ use shadow_bench::json::Json;
 use shadow_bench::runner::{fingerprint, RetryPolicy};
 use shadow_bench::{Cell, Scheme};
 use shadow_conformance::Fault;
-use shadow_memsys::SystemConfig;
+use shadow_memsys::{Engine, SystemConfig};
 use shadow_rh::RhParams;
 use std::fmt;
 use std::path::PathBuf;
@@ -344,47 +344,15 @@ impl Preset {
     }
 }
 
-/// Scheduling-engine selection for a scenario's `engine` axis. Every
-/// choice is outcome-identical (the engines are pinned bit-for-bit by the
-/// conformance fuzzer) — the axis exists so a campaign can sweep engine
-/// modes for throughput comparisons on real workload grids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// The default incremental event calendar (no force switch).
-    Calendar,
-    /// `force_frontier_walk`: the memoized frontier bitmask walk.
-    FrontierWalk,
-    /// `force_full_scan`: the original O(total banks) reference scan.
-    FullScan,
-}
-
-impl EngineChoice {
-    /// Parses a recipe value; `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<EngineChoice> {
-        match name {
-            "calendar" => Some(EngineChoice::Calendar),
-            "frontier_walk" => Some(EngineChoice::FrontierWalk),
-            "full_scan" => Some(EngineChoice::FullScan),
-            _ => None,
-        }
-    }
-
-    /// The recipe-facing name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineChoice::Calendar => "calendar",
-            EngineChoice::FrontierWalk => "frontier_walk",
-            EngineChoice::FullScan => "full_scan",
-        }
-    }
-
-    /// Applies the choice to a cell configuration.
-    pub fn apply(self, cfg: &mut SystemConfig) {
-        match self {
-            EngineChoice::Calendar => {}
-            EngineChoice::FrontierWalk => cfg.force_frontier_walk = true,
-            EngineChoice::FullScan => cfg.force_full_scan = true,
-        }
+/// Parses a scenario `engine` axis value; `None` for unknown names. Both
+/// engines are outcome-identical (pinned bit-for-bit by the conformance
+/// fuzzer) — the axis exists so a campaign can compare their throughput
+/// on real workload grids.
+fn engine_from_name(name: &str) -> Option<Engine> {
+    match name {
+        "fast" => Some(Engine::Fast),
+        "reference" => Some(Engine::Reference),
+        _ => None,
     }
 }
 
@@ -408,9 +376,9 @@ pub struct Scenario {
     pub h_cnt: Vec<u64>,
     /// `RhParams::blast_radius` grid (empty: preset default).
     pub blast: Vec<u32>,
-    /// Scheduling-engine grid (empty: the default calendar engine, one
+    /// Scheduling-engine grid (empty: the preset's [`Engine::Fast`], one
     /// cell). Outcome-identical across choices; sweeps engine modes.
-    pub engine: Vec<EngineChoice>,
+    pub engine: Vec<Engine>,
     /// Forward-progress watchdog window in cycles (0: disabled). Stall
     /// faults are only detectable with a window armed.
     pub watchdog_window: u64,
@@ -710,16 +678,15 @@ impl Recipe {
             let requests = num_list("requests")?;
             let h_cnt = num_list("h_cnt")?;
             let blast: Vec<u32> = num_list("blast")?.iter().map(|&b| b as u32).collect();
-            let engine: Vec<EngineChoice> = match s.get("engine") {
+            let engine: Vec<Engine> = match s.get("engine") {
                 None => Vec::new(),
                 Some(v) => want_arr(v, &format!("{at}.engine"))?
                     .iter()
                     .map(|e| {
                         let n = want_str(e, &format!("{at}.engine[]"))?;
-                        EngineChoice::from_name(&n).ok_or_else(|| {
+                        engine_from_name(&n).ok_or_else(|| {
                             RecipeError(format!(
-                                "{at}.engine: unknown engine `{n}` \
-                                 (calendar, frontier_walk, full_scan)"
+                                "{at}.engine: unknown engine `{n}` (fast, reference)"
                             ))
                         })
                     })
@@ -879,7 +846,7 @@ impl Recipe {
                                         );
                                     }
                                     if let Some(e) = eng {
-                                        e.apply(&mut cfg);
+                                        cfg.engine = e;
                                     }
                                     cfg.watchdog_window = s.watchdog_window;
                                     if let Some(m) = s.mlp {
@@ -1038,7 +1005,7 @@ h_cnt = [1000]
     }
 
     #[test]
-    fn engine_axis_expands_rightmost_and_sets_force_switches() {
+    fn engine_axis_expands_rightmost_and_sets_engine() {
         let r = Recipe::parse(
             r#"
 [campaign]
@@ -1049,46 +1016,42 @@ preset = "tiny"
 workloads = ["random-stream"]
 schemes = ["baseline"]
 requests = [100, 200]
-engine = ["calendar", "frontier_walk", "full_scan"]
+engine = ["fast", "reference"]
 "#,
         )
         .expect("parses");
-        assert_eq!(r.cell_count(), 6);
+        assert_eq!(r.cell_count(), 4);
         let cells = r.expand();
-        // Engine is the rightmost (fastest) axis: cal100, walk100,
-        // scan100, cal200, walk200, scan200.
+        // Engine is the rightmost (fastest) axis: fast100, reference100,
+        // fast200, reference200.
         for (i, c) in cells.iter().enumerate() {
-            assert_eq!(c.cell.0.target_requests, if i < 3 { 100 } else { 200 });
+            assert_eq!(c.cell.0.target_requests, if i < 2 { 100 } else { 200 });
         }
-        for group in cells.chunks(3) {
-            assert!(!group[0].cell.0.force_frontier_walk && !group[0].cell.0.force_full_scan);
-            assert!(group[1].cell.0.force_frontier_walk);
-            assert!(group[2].cell.0.force_full_scan);
+        for group in cells.chunks(2) {
+            assert_eq!(group[0].cell.0.engine, Engine::Fast);
+            assert_eq!(group[1].cell.0.engine, Engine::Reference);
         }
         // Engine choices are distinct configurations → distinct
         // fingerprints (resume keys never collide across the axis).
         let mut fps: Vec<u64> = cells.iter().map(|c| c.fingerprint).collect();
         fps.sort_unstable();
         fps.dedup();
-        assert_eq!(fps.len(), 6);
+        assert_eq!(fps.len(), 4);
     }
 
     #[test]
     fn unknown_engine_is_a_named_error() {
-        let e = Recipe::parse(
-            r#"
-[campaign]
-name = "bad"
-[[scenario]]
-preset = "tiny"
-workloads = ["random-stream"]
-schemes = ["baseline"]
-engine = ["warp-drive"]
-"#,
-        )
-        .expect_err("unknown engine");
-        assert!(e.0.contains("unknown engine `warp-drive`"), "{e}");
-        assert!(e.0.contains("calendar, frontier_walk, full_scan"), "{e}");
+        // The retired engine names are unknown too.
+        for name in ["warp-drive", "calendar", "frontier_walk", "full_scan"] {
+            let e = Recipe::parse(&format!(
+                "[campaign]\nname = \"bad\"\n[[scenario]]\npreset = \"tiny\"\n\
+                 workloads = [\"random-stream\"]\nschemes = [\"baseline\"]\n\
+                 engine = [\"{name}\"]\n"
+            ))
+            .expect_err("unknown engine");
+            assert!(e.0.contains(&format!("unknown engine `{name}`")), "{e}");
+            assert!(e.0.contains("(fast, reference)"), "{e}");
+        }
     }
 
     #[test]

@@ -1,33 +1,21 @@
 //! Differential fuzzing: randomized (geometry, timing, workload,
-//! mitigation) cells run through eight engine variants that must agree
+//! mitigation) cells run through four engine variants that must agree
 //! bit-for-bit, each with an oracle-clean command trace.
 //!
 //! The variants cover the engine's fast paths from both sides:
 //!
-//! 1. **cached** — the normal engine, with the mitigation wrapped in
+//! 1. **fast** — [`Engine::Fast`], with the mitigation wrapped in
 //!    [`EpochCheck`] so any remap-epoch contract violation (the soundness
-//!    precondition of the translation cache) panics at the offending call;
-//! 2. **full-scan** — `force_full_scan` degrades scheduling to the
-//!    original O(total banks) walk and bypasses the scheduler-frontier
-//!    memo (translation cache still active);
-//! 3. **retranslate** — [`Retranslate`] reports a fresh epoch on every
-//!    query, defeating the translation cache entirely;
-//! 4. **eager-ledger** — `force_eager_ledger` builds every Row Hammer
-//!    ledger in eager reference mode, defeating the lazy-restore stamps
-//!    and the hot-row index;
-//! 5. **frontier-walk** — `force_frontier_walk` keeps the memoized
-//!    frontier walk but bypasses the event calendar, defeating the lazy
-//!    heap (stale-entry discard, seq-counter invalidation) from the
-//!    scan side;
-//! 6. **linear-frfcfs** — `force_linear_frfcfs` replaces the per-bank
-//!    row index with the original linear queue scan for FR-FCFS hit
-//!    selection, defeating the index's epoch-keyed invalidation from the
-//!    reference side;
-//! 7. **unresolved-calendar** — `force_unresolved_calendar` keeps the
-//!    event calendar but defeats the per-bank resolved-decision cache and
-//!    CAS-burst streaming, re-deriving every scheduling decision through
-//!    the full `schedule_bank` tree each pass;
-//! 8. **sharded** — `shard_channels` with two workers steps each channel's
+//!    precondition of the translation cache and the row index) panics at
+//!    the offending call;
+//! 2. **retranslate** — [`Engine::Fast`] with the mitigation wrapped in
+//!    [`Retranslate`], which reports a fresh epoch on every query: the
+//!    event calendar and lazy ledger stay on while the translation cache
+//!    and row index rebuild at every lookup;
+//! 3. **reference** — [`Engine::Reference`]: the original O(total banks)
+//!    scan with no frontier memo, the linear FR-FCFS queue walk, eager
+//!    Row Hammer ledgers, and a translation per lookup;
+//! 4. **sharded** — `shard_channels` with two workers steps each channel's
 //!    scheduler slice on its own thread, synchronizing every pass (cells
 //!    with one channel exercise the serial fallback instead — also part
 //!    of the contract).
@@ -43,7 +31,7 @@ use crate::schemes::ConfScheme;
 use shadow_dram::geometry::DramGeometry;
 use shadow_dram::timing::TimingParams;
 use shadow_dram::trace::CommandRecord;
-use shadow_memsys::{MemSystem, PagePolicy, SimReport, SystemConfig};
+use shadow_memsys::{Engine, MemSystem, PagePolicy, SimReport, SystemConfig};
 use shadow_mitigations::{EpochCheck, Mitigation, Retranslate};
 use shadow_rh::RhParams;
 use shadow_sim::rng::Xoshiro256;
@@ -59,7 +47,7 @@ pub fn proptest_cases(default: usize) -> usize {
 }
 
 /// One randomized conformance cell. Streams are rebuilt from the stored
-/// seeds for every engine variant, so the three runs see identical input.
+/// seeds for every engine variant, so every run sees identical input.
 #[derive(Debug, Clone)]
 pub struct FuzzCase {
     /// System configuration (geometry, timing, policies) for the cell.
@@ -135,12 +123,8 @@ pub fn gen_case(case_seed: u64) -> FuzzCase {
             PagePolicy::Closed
         },
         posted_writes: rng.gen_bool(0.5),
-        force_full_scan: false,
-        force_frontier_walk: false,
-        force_linear_frfcfs: false,
-        force_unresolved_calendar: false,
+        engine: Engine::Fast,
         trace_depth: 1 << 20,
-        force_eager_ledger: false,
         profile: false,
         watchdog_window: 0,
         shard_channels: false,
@@ -159,10 +143,8 @@ pub fn gen_case(case_seed: u64) -> FuzzCase {
 }
 
 /// Builds the case's request streams (deterministic: same case, same
-/// streams, every time). Public so focused differential tests (e.g. the
-/// resolved-calendar churn suite) can rerun a case outside
-/// [`run_differential`] with identical input.
-pub fn build_streams(case: &FuzzCase) -> Vec<Box<dyn RequestStream>> {
+/// streams, every time).
+fn build_streams(case: &FuzzCase) -> Vec<Box<dyn RequestStream>> {
     // Streams require ≥ 1 MiB of PA space; the mapper wraps addresses
     // beyond the (possibly tiny) geometry, so a floor is safe.
     let cap = case.cfg.capacity_bytes().max(1 << 20);
@@ -181,18 +163,9 @@ pub fn build_streams(case: &FuzzCase) -> Vec<Box<dyn RequestStream>> {
 }
 
 /// Engine variants compared by [`run_differential`].
-const VARIANTS: [&str; 8] = [
-    "cached",
-    "full-scan",
-    "retranslate",
-    "eager-ledger",
-    "frontier-walk",
-    "linear-frfcfs",
-    "unresolved-calendar",
-    "sharded",
-];
+const VARIANTS: [&str; 4] = ["fast", "retranslate", "reference", "sharded"];
 
-/// Runs one cell through all eight engine variants.
+/// Runs one cell through all four engine variants.
 ///
 /// # Errors
 ///
@@ -207,25 +180,9 @@ pub fn run_differential(case: &FuzzCase) -> Result<(), String> {
         let base = case.scheme.build(&cfg);
         let mitigation: Box<dyn Mitigation> = match variant {
             0 => Box::new(EpochCheck::new(base)),
-            1 => {
-                cfg.force_full_scan = true;
-                base
-            }
-            2 => Box::new(Retranslate::new(base)),
-            3 => {
-                cfg.force_eager_ledger = true;
-                base
-            }
-            4 => {
-                cfg.force_frontier_walk = true;
-                base
-            }
-            5 => {
-                cfg.force_linear_frfcfs = true;
-                base
-            }
-            6 => {
-                cfg.force_unresolved_calendar = true;
+            1 => Box::new(Retranslate::new(base)),
+            2 => {
+                cfg.engine = Engine::Reference;
                 base
             }
             _ => {

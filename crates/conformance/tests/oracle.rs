@@ -85,12 +85,8 @@ fn oracle_catches_engine_with_weakened_tfaw() {
         raaimt_override: None,
         page_policy: shadow_memsys::PagePolicy::Closed,
         posted_writes: false,
-        force_full_scan: false,
-        force_frontier_walk: false,
-        force_linear_frfcfs: false,
-        force_unresolved_calendar: false,
+        engine: shadow_memsys::Engine::Fast,
         trace_depth: 1 << 20,
-        force_eager_ledger: false,
         profile: false,
         watchdog_window: 0,
         shard_channels: false,

@@ -30,7 +30,7 @@ impl ActiveBanks {
 
     /// Marks every bank in the universe active, degrading the next pass to
     /// the full O(banks) scan. Reference-engine use only (see
-    /// `SystemConfig::force_full_scan`).
+    /// `Engine::Reference`).
     pub fn insert_all(&mut self) {
         for (w, word) in self.words.iter_mut().enumerate() {
             let banks_in_word = self.banks.saturating_sub(w * 64).min(64);

@@ -18,6 +18,25 @@ pub enum PagePolicy {
     Closed,
 }
 
+/// Which scheduling engine a [`MemSystem`](crate::MemSystem) runs.
+///
+/// Simulated outcomes — reports and command traces — are bit-identical
+/// either way (pinned by the determinism suite and the conformance
+/// fuzzer); the engines differ only in how much work they do to decide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Engine {
+    /// Every fast path on: the event calendar over memoized per-bank
+    /// frontiers, row-indexed FR-FCFS hit selection, the lazy Row Hammer
+    /// ledger, and the remap-epoch translation cache.
+    #[default]
+    Fast,
+    /// Every fast path off: the full O(total banks) scan recomputing every
+    /// frontier each pass, the linear FR-FCFS queue walk, eager ledgers,
+    /// and a translation per lookup (the mitigation is wrapped in
+    /// [`Retranslate`](shadow_mitigations::Retranslate)). Never sharded.
+    Reference,
+}
+
 /// Configuration of a [`MemSystem`](crate::MemSystem) run.
 ///
 /// Passive data: fields are public.
@@ -46,58 +65,15 @@ pub struct SystemConfig {
     /// immediately and drain to DRAM asynchronously — cores never stall on
     /// write bandwidth, as on real systems with deep write buffers.
     pub posted_writes: bool,
-    /// Reference-engine switch: re-activate every bank before each
-    /// scheduling pass, degrading `step()` and `next_event_after()` to the
-    /// original full O(total banks) scan. Simulated outcomes are identical
-    /// either way (the scan only skips banks that cannot accept a command);
-    /// the engine-speedup bench flips this on to measure what the
-    /// active-bank worklist buys. Normal runs leave it `false`.
-    pub force_full_scan: bool,
-    /// Reference-engine switch: run the memoized frontier *bitmask walk*
-    /// (the PR3 `serial_fast` engine) instead of the default incremental
-    /// event calendar. Simulated outcomes are bit-identical either way —
-    /// the calendar visits exactly the banks the walk would visit (pinned
-    /// by the determinism suite and the conformance fuzzer's
-    /// calendar-defeating `frontier-walk` leg); the hotpath bench flips
-    /// this on as the contemporaneous A/B baseline for the calendar's
-    /// speedup. Ignored when [`force_full_scan`](Self::force_full_scan)
-    /// already selects the scan reference. Normal runs leave it `false`.
-    pub force_frontier_walk: bool,
-    /// Reference-engine switch for FR-FCFS hit selection: scan the bank
-    /// queue linearly for an open-row hit (the original `position()` walk,
-    /// one translation per element per visit) instead of consulting the
-    /// per-bank row index. Outcomes are bit-identical either way — the
-    /// index is keyed by the same remap epoch the cached translations use,
-    /// and the queue's seq order makes "front of the row's bucket" the
-    /// same request the linear scan finds first (pinned by a dedicated
-    /// proptest and the conformance fuzzer's `linear-frfcfs` leg). The
-    /// benches flip this on to measure what the index buys. Normal runs
-    /// leave it `false`.
-    pub force_linear_frfcfs: bool,
-    /// Reference-engine switch for the calendar's resolved-entry path: run
-    /// the event calendar with the per-bank *decision* cache and CAS-burst
-    /// streaming defeated, re-deriving every scheduling decision through
-    /// the full `schedule_bank` tree each pass (the PR8 behaviour).
-    /// Outcomes are bit-identical either way — a cached decision is pinned
-    /// by the same seq stamps as its frontier and every gate/timing check
-    /// stays live at consume time (pinned by the determinism suite and the
-    /// conformance fuzzer's `unresolved-calendar` leg, the eighth
-    /// variant). The hotpath bench flips this on to measure what resolved
-    /// entries buy. Ignored when a reference engine is already selected.
-    /// Normal runs leave it `false`.
-    pub force_unresolved_calendar: bool,
+    /// Scheduling engine. [`Engine::Fast`] in every preset; the benches
+    /// and the isolated runner switch to [`Engine::Reference`] to measure
+    /// what the fast paths buy and to re-run a failed cell without them.
+    pub engine: Engine,
     /// Command-trace ring depth. `0` (the default in every preset) disables
     /// tracing; non-zero retains the last `trace_depth` committed DRAM
     /// commands for the conformance oracle. Tracing never changes simulated
     /// behaviour (pinned by the determinism suite).
     pub trace_depth: usize,
-    /// Reference-engine switch for the Row Hammer ledger: build every bank
-    /// ledger in eager mode (restores applied immediately, `hottest()` as a
-    /// full scan) instead of the default lazy stamp-based mode. Outcomes
-    /// are bit-identical either way (pinned by the determinism suite and
-    /// the conformance fuzzer's eager-ledger leg); the benches flip this on
-    /// to measure what the lazy ledger buys. Normal runs leave it `false`.
-    pub force_eager_ledger: bool,
     /// Collect the hot-path phase profile ([`SimReport::profile`]
     /// (crate::SimReport::profile)). Only effective when the crate is built
     /// with the `profiler` feature; observation-only either way — report
@@ -121,8 +97,8 @@ pub struct SystemConfig {
     /// command traces are bit-identical to the serial engine (pinned by the
     /// determinism suite and the conformance fuzzer's sharded leg). Falls
     /// back to the serial engine when the config has a single channel, when
-    /// [`force_full_scan`](Self::force_full_scan) selects the reference
-    /// engine, or when the mitigation cannot split per-channel state
+    /// [`engine`](Self::engine) selects [`Engine::Reference`], or when the
+    /// mitigation cannot split per-channel state
     /// (`Mitigation::split_channels` returns `None`); query
     /// [`MemSystem::sharding_active`](crate::MemSystem::sharding_active)
     /// for the resolved mode. Off in every preset.
@@ -150,12 +126,8 @@ impl SystemConfig {
             raaimt_override: None,
             page_policy: PagePolicy::Open,
             posted_writes: false,
-            force_full_scan: false,
-            force_frontier_walk: false,
-            force_linear_frfcfs: false,
-            force_unresolved_calendar: false,
+            engine: Engine::Fast,
             trace_depth: 0,
-            force_eager_ledger: false,
             profile: false,
             watchdog_window: 0,
             shard_channels: false,
@@ -175,12 +147,8 @@ impl SystemConfig {
             raaimt_override: None,
             page_policy: PagePolicy::Open,
             posted_writes: false,
-            force_full_scan: false,
-            force_frontier_walk: false,
-            force_linear_frfcfs: false,
-            force_unresolved_calendar: false,
+            engine: Engine::Fast,
             trace_depth: 0,
-            force_eager_ledger: false,
             profile: false,
             watchdog_window: 0,
             shard_channels: false,
@@ -200,12 +168,8 @@ impl SystemConfig {
             raaimt_override: Some(16),
             page_policy: PagePolicy::Open,
             posted_writes: false,
-            force_full_scan: false,
-            force_frontier_walk: false,
-            force_linear_frfcfs: false,
-            force_unresolved_calendar: false,
+            engine: Engine::Fast,
             trace_depth: 0,
-            force_eager_ledger: false,
             profile: false,
             watchdog_window: 0,
             shard_channels: false,

@@ -57,7 +57,7 @@ mod shard;
 pub mod system;
 
 pub use attacker::AttackerCore;
-pub use config::{PagePolicy, SystemConfig};
+pub use config::{Engine, PagePolicy, SystemConfig};
 pub use error::{BankStall, SimError, StallKind, StallSnapshot};
 pub use report::SimReport;
 pub use system::MemSystem;

@@ -28,10 +28,10 @@
 //!
 //! # Scheduling engines
 //!
-//! The shard runs one of three bit-identical engines ([`EngineMode`]):
-//! the full-scan reference, the PR3 frontier bitmask walk, and the default
-//! **event calendar**. The calendar splits the active set into two
-//! disjoint pools:
+//! The shard runs one of two bit-identical engines ([`Engine`]): the
+//! full-scan reference, which visits every bank and recomputes every
+//! frontier each pass, and the default **event calendar**. The calendar
+//! splits the active set into two disjoint pools:
 //!
 //!  - `pending` — banks that need per-pass examination (fresh admissions,
 //!    invalidated memos, armed mitigation consults, a claimed command
@@ -54,32 +54,7 @@
 //! `next_min` (pop-validate: the earliest live entry whose memo is still
 //! valid IS the exact heap minimum) and the pass (visit only banks whose
 //! event fired at `now`, merged with `pending` in ascending bank order)
-//! come off the O(active banks) walk.
-//!
-//! # Resolved entries
-//!
-//! On top of the wake-time calendar, the default engine memoizes the
-//! scheduling *decision* itself ([`Resolved`], carried in the bank's
-//! [`FrontierSlot`]): branch selection — RFM drain, FR-FCFS row hit, row
-//! conflict, head activate — is a pure function of exactly the state the
-//! slot's seq stamps already pin, so a visit whose stamps validate can
-//! issue the cached decision directly instead of re-running the
-//! `schedule_bank` decision tree. Gate verdicts are never cached: the bus
-//! claim, `block_until`, the hoisted rank gate, per-bank ABO recovery
-//! debt, and the decision's own lane-timing guard are re-read live at
-//! every consume, so refresh urgency and ABO debt transitions defeat the
-//! cache with no extra counter. A run of queued hits to the open row
-//! streams as a **CAS burst**: each beat's issue writes the bank's next
-//! resolved decision straight into the slot (stamped with the post-issue
-//! counters — byte-identical to what a fresh derivation at the next visit
-//! would produce, since RD/WR never close the row and the pop kept the
-//! row index exact), so the burst proceeds at tCCD cadence with O(1) work
-//! per beat and a single arbitration for the whole run. Any foreign
-//! command, admission, or consult in the window bumps a pinned counter
-//! and the next beat falls back to full re-arbitration.
-//! `SystemConfig::force_unresolved_calendar` defeats both paths (the
-//! eighth differential-fuzzer variant); debug builds additionally
-//! re-derive every consumed decision and assert it matches.
+//! come off the O(active banks) scan.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -97,26 +72,8 @@ use shadow_sim::stats::Histogram;
 use shadow_sim::time::Cycle;
 
 use crate::active::ActiveBanks;
-use crate::config::PagePolicy;
+use crate::config::{Engine, PagePolicy};
 use crate::error::BankStall;
-
-/// Which scheduling engine the shard runs. Simulated outcomes are
-/// bit-identical across all three (pinned by the determinism suite and
-/// the conformance fuzzer); they differ only in how much work each
-/// pass/`next_min` does. Resolved from `SystemConfig::force_full_scan` /
-/// `force_frontier_walk` by the coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EngineMode {
-    /// Reference: re-activate every bank and recompute every frontier,
-    /// the original full O(total banks) scan.
-    FullScan,
-    /// The PR3 fast path: active-bank bitmask walk gated by the frontier
-    /// memo.
-    FrontierWalk,
-    /// Default: incremental event calendar over the frontier memo (see
-    /// the module docs).
-    Calendar,
-}
 
 /// Sentinel core index for posted writes (no completion to deliver at CAS).
 pub(crate) const POSTED: usize = usize::MAX;
@@ -183,8 +140,8 @@ impl QueuedReq {
 /// mark it dirty wholesale ([`NO_EPOCH`]) — translation is deferred to
 /// the owning shard, so the admitting coordinator cannot extend the map —
 /// and the CAS dequeue path pops the served seq from its bucket. The
-/// `force_linear_frfcfs` reference mode never builds the index, keeping
-/// the original scan alive for the differential fuzzer's seventh leg.
+/// reference engine never builds the index, keeping the original linear
+/// scan alive for the differential fuzzer's reference leg.
 #[derive(Debug)]
 struct RowIndex {
     /// The remap epoch the map reflects ([`NO_EPOCH`] = dirty).
@@ -278,11 +235,6 @@ struct FrontierSlot {
     intrinsic: Cycle,
     scope: FrontierScope,
     consult_pending: bool,
-    /// The memoized scheduling decision (see [`Resolved`]); exactly as
-    /// valid as the slot itself, and additionally survives
-    /// [`ChannelShard::revalidate_coupled`] — coupled-only staleness never
-    /// changes branch selection.
-    resolved: Resolved,
 }
 
 /// The widest cross-bank state a memoized frontier read; see
@@ -294,45 +246,6 @@ enum FrontierScope {
     Channel,
 }
 
-/// The scheduling *decision* memoized alongside a frontier: what
-/// `schedule_bank`'s branch selection would issue for this bank, resolved
-/// once and consumed on the visit where the frontier fires — the calendar
-/// engine's resolved-entry fast path.
-///
-/// Soundness rides on exactly the [`FrontierSlot`] validity contract:
-/// branch selection is a function of the bank's own command history and
-/// scheduler bookkeeping (`bank_cmd_seq` / `bank_seq`), so a decision is
-/// exact while those counters match, and coupled-only staleness (a
-/// same-rank ACT, a channel CAS elsewhere) can move *when* the command may
-/// issue but never *what* it is. The per-bank remap epoch is pinned too:
-/// every mitigation call that can move a bank's epoch (`on_activate`,
-/// `on_rfm`, `on_recovery_rfm`) happens inside a consult or a command to
-/// that bank, each of which bumps a pinned counter — the [`Resolved::Cas`]
-/// epoch stamp is defense-in-depth on top, and the consume path falls back
-/// to the full decision tree on mismatch rather than trusting the cache.
-///
-/// What is *not* cached: gate verdicts. The bus claim, `block_until`, the
-/// hoisted rank gate (`rank_closed` — refresh urgency and rank-scope ABO
-/// debt), and per-bank ABO recovery debt are all re-read live at every
-/// visit before a decision is consumed, so ABO debt transitions and
-/// refresh urgency flips defeat the cache without needing a counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolved {
-    /// No decision cached: the slot predates the resolved-calendar path,
-    /// the engine runs with `force_unresolved_calendar`, or the bank's
-    /// branch is one the cache never captures (empty-queue eager PRE).
-    None,
-    /// Precharge the open row (RFM drain, or FR-FCFS row conflict).
-    Pre,
-    /// Issue the bank's pending RFM (row already closed).
-    Rfm,
-    /// Serve the FR-FCFS oldest open-row hit: the queued request `seq`,
-    /// the open DA row its bucket is keyed by, both pinned at `epoch`.
-    Cas { seq: u64, da: u32, epoch: u64 },
-    /// Activate for the (already consulted) head request.
-    Act,
-}
-
 impl FrontierSlot {
     const INVALID: FrontierSlot = FrontierSlot {
         bank_cmd_seq: u64::MAX,
@@ -342,7 +255,6 @@ impl FrontierSlot {
         intrinsic: 0,
         scope: FrontierScope::Bank,
         consult_pending: true,
-        resolved: Resolved::None,
     };
 }
 
@@ -377,17 +289,10 @@ pub(crate) struct ChannelShard {
     /// Banks per rank.
     bpr: usize,
     page_policy: PagePolicy,
-    engine: EngineMode,
-    /// FR-FCFS reference switch: scan queues linearly for open-row hits
-    /// instead of consulting [`RowIndex`] (see
-    /// `SystemConfig::force_linear_frfcfs`).
-    linear_frfcfs: bool,
-    /// Calendar engine's resolved-entry fast path: memoize scheduling
-    /// *decisions* ([`Resolved`]) alongside frontiers and consume them on
-    /// the firing visit, streaming CAS bursts beat-to-beat. `false` under
-    /// `SystemConfig::force_unresolved_calendar` (the eighth fuzzer
-    /// variant) and for the walk/scan reference engines.
-    resolved: bool,
+    /// [`Engine::Fast`] runs the event calendar and finds FR-FCFS hits
+    /// through [`RowIndex`]; [`Engine::Reference`] runs the full scan and
+    /// finds them with the linear queue walk.
+    engine: Engine,
     /// Post-mitigation timing (tRCD extension, refresh multiplier applied).
     /// A copy of the device's set, fixed for the run.
     timing: TimingParams,
@@ -396,7 +301,7 @@ pub(crate) struct ChannelShard {
     /// a run and restored afterwards.
     pub lane: Option<ChannelLane>,
     queues: Vec<VecDeque<QueuedReq>>,
-    /// One [`RowIndex`] per bank (unused in `linear_frfcfs` mode).
+    /// One [`RowIndex`] per bank (unused by the reference engine).
     row_index: Vec<RowIndex>,
     /// Per-bank next admission seq (see [`QueuedReq::seq`]).
     next_seq: Vec<u64>,
@@ -421,11 +326,11 @@ pub(crate) struct ChannelShard {
     /// the command bus, behind which these values are never read.
     rank_closed: Vec<bool>,
     /// Per-local-rank count of bank visits short-circuited by the hoisted
-    /// rank gate (walk/calendar engines). Diagnostic, merged into
+    /// rank gate (calendar engine). Diagnostic, merged into
     /// `SimReport::gate_rank_skips`.
     pub rank_gate_skips: Vec<u64>,
     /// Scheduling passes skipped wholesale by the hoisted command-bus gate
-    /// (walk/calendar engines). Diagnostic, merged into
+    /// (calendar engine). Diagnostic, merged into
     /// `SimReport::gate_bus_skips`.
     pub bus_gate_skips: u64,
     /// ABO alerts asserted on this channel.
@@ -468,8 +373,8 @@ pub(crate) struct ChannelShard {
     refresh_wake: Cycle,
     /// The legacy-form next-event bound: the bank contributions plus the
     /// conservative refresh probe (a due rank contributes `now`, an undue
-    /// one the next tREFI boundary) — the value the walk/scan engines
-    /// return from `next_min`. The coordinator falls back to the min of
+    /// one the next tREFI boundary) — the value the reference scan
+    /// returns from `next_min`. The coordinator falls back to the min of
     /// these whenever *any* shard reports `!skip_ok`: a shard needing
     /// per-pass examination inherited its visit cadence from the global
     /// crawl, including the 1-cycle refresh pins of *other* shards, so the
@@ -521,9 +426,7 @@ impl ChannelShard {
         banks: usize,
         ranks: usize,
         page_policy: PagePolicy,
-        engine: EngineMode,
-        linear_frfcfs: bool,
-        resolved: bool,
+        engine: Engine,
         timing: TimingParams,
         ledgers: Vec<HammerLedger>,
         raa: Option<RaaCounters>,
@@ -538,8 +441,6 @@ impl ChannelShard {
             bpr: banks / ranks.max(1),
             page_policy,
             engine,
-            linear_frfcfs,
-            resolved: resolved && engine == EngineMode::Calendar,
             timing,
             lane: None,
             queues: (0..banks).map(|_| VecDeque::new()).collect(),
@@ -661,7 +562,7 @@ impl ChannelShard {
         // Admission can move the bank's frontier earlier (a row hit behind
         // a far-future ACT frontier) or arm a consult, so a parked bank
         // must come back to the examined pool.
-        if self.engine == EngineMode::Calendar {
+        if self.engine == Engine::Fast {
             self.calendar.invalidate(local);
             self.pending.insert(local);
             self.cache_clean = false;
@@ -804,12 +705,12 @@ impl ChannelShard {
         // proved every bank event lies beyond `now`, no consult is armed,
         // nothing needs per-pass examination (`skip_ok`), no admission
         // arrived, and the refresh phase provably cannot act before
-        // `refresh_wake` (exact and fresh under `cache_clean`), the walk
-        // engine's pass is provably a no-op: every bank visit would take
-        // the frontier-gate skip and the refresh engine would not fire.
+        // `refresh_wake` (exact and fresh under `cache_clean`), the pass
+        // is provably a no-op: every bank visit would take the
+        // frontier-gate skip and the refresh engine would not fire.
         // Skipping it wholesale is therefore exact, and the cache stays
         // clean for `next_min` to reuse.
-        if self.engine == EngineMode::Calendar
+        if self.engine == Engine::Fast
             && admits.is_empty()
             && self.cache_clean
             && self.skip_ok
@@ -858,7 +759,7 @@ impl ChannelShard {
                         // a calendar-parked bank must be re-examined. Only
                         // active banks — an Open-policy bank deactivated
                         // with its row open must stay deactivated.
-                        if self.engine == EngineMode::Calendar && self.active.contains(local) {
+                        if self.engine == Engine::Fast && self.active.contains(local) {
                             self.calendar.invalidate(local);
                             self.pending.insert(local);
                         }
@@ -920,12 +821,11 @@ impl ChannelShard {
         // one channel share a command bus, so visit order is load-bearing).
         let sched = PhaseTimer::start(&mut self.profile);
         match self.engine {
-            EngineMode::FullScan => {
+            Engine::Reference => {
                 self.active.insert_all();
-                self.pass_walk(now, mit, moff, &mut progressed);
+                self.pass_scan(now, mit, moff, &mut progressed);
             }
-            EngineMode::FrontierWalk => self.pass_walk(now, mit, moff, &mut progressed),
-            EngineMode::Calendar => self.pass_calendar(now, mit, moff, &mut progressed),
+            Engine::Fast => self.pass_calendar(now, mit, moff, &mut progressed),
         }
         sched.stop(&mut self.profile, Phase::Schedule);
         let sched_cmd = self.take_issued();
@@ -945,9 +845,9 @@ impl ChannelShard {
     /// scope drains ascending ranks with RFMAB — the device refreshes its
     /// flagged rows in every bank of the rank, so the mitigation is
     /// consulted once per bank, ascending — then Bank scope drains
-    /// ascending banks with RFMSB. Runs identically under all three
-    /// engines (it precedes engine dispatch and reads only committed
-    /// state), which keeps the seven-variant differential bit-identical.
+    /// ascending banks with RFMSB. Runs identically under both engines
+    /// (it precedes engine dispatch and reads only committed state), which
+    /// keeps the differential fuzzer's variants bit-identical.
     fn recovery_drain(
         &mut self,
         now: Cycle,
@@ -976,7 +876,7 @@ impl ChannelShard {
                         // examined pool, exactly as the urgent-refresh PRE
                         // does (and like there, a deactivated Open-policy
                         // bank stays deactivated).
-                        if self.engine == EngineMode::Calendar && self.active.contains(local) {
+                        if self.engine == Engine::Fast && self.active.contains(local) {
                             self.calendar.invalidate(local);
                             self.pending.insert(local);
                         }
@@ -1015,7 +915,7 @@ impl ChannelShard {
             if self.lane().open_row(bank).is_some() {
                 if self.lane().earliest_pre(bank, now) <= now {
                     self.issue(DramCommand::Pre { bank }, now);
-                    if self.engine == EngineMode::Calendar && self.active.contains(local) {
+                    if self.engine == Engine::Fast && self.active.contains(local) {
                         self.calendar.invalidate(local);
                         self.pending.insert(local);
                     }
@@ -1045,55 +945,23 @@ impl ChannelShard {
         }
     }
 
-    /// The scan/walk engines' scheduling loop: visit every active bank in
-    /// ascending order, gated (walk engine only) by the frontier memo.
-    /// Iterating a snapshot of each bitmask word keeps the walk stable
+    /// The reference engine's scheduling loop: visit every active bank in
+    /// ascending order through the full `schedule_bank` decision tree.
+    /// Iterating a snapshot of each bitmask word keeps the scan stable
     /// while banks deactivate themselves.
-    fn pass_walk(
+    fn pass_scan(
         &mut self,
         now: Cycle,
         mit: &mut AnyMitigation,
         moff: usize,
         progressed: &mut bool,
     ) {
-        // Shard-global bus gate, hoisted (walk engine): with the command
-        // bus claimed at pass entry the old per-bank gate skipped every
-        // bank — no visits, no deactivations — so the whole pass is a
-        // no-op. The reference engine (`force_full_scan`) keeps the
-        // original visit-everything behaviour.
-        if self.engine != EngineMode::FullScan && (self.cmd_ready > now || self.block_until > now) {
-            self.bus_gate_skips += 1;
-            return;
-        }
         for w in 0..self.active.words() {
             let mut bits = self.active.word(w);
             while bits != 0 {
                 let local = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // Frontier fast path: a bank whose memoized frontier lies
-                // beyond `now` with no mitigation consult pending provably
-                // makes no progress and has no side effect in
-                // `schedule_bank` — skip the whole decision tree (queue
-                // scans, lane timing math). Every skipped bank keeps a
-                // non-empty queue or a pending RFM (see [`FrontierSlot`]),
-                // so the deactivation check below is a no-op for it too.
-                // The reference engine bypasses the gate entirely.
-                if self.engine != EngineMode::FullScan {
-                    let slot = self.frontier[local];
-                    if !slot.consult_pending && slot.raw > now && self.slot_valid(local) {
-                        continue;
-                    }
-                }
-                // Hoisted rank gate: a closed rank's bank provably takes
-                // `schedule_bank`'s refresh/recovery early-out with no
-                // side effect — count the skip and fall through to the
-                // deactivation check, exactly as the visit would have.
-                let lr = local / self.bpr;
-                if self.engine != EngineMode::FullScan
-                    && (self.rank_closed[lr] || self.recovery_due_bank[local] > 0)
-                {
-                    self.rank_gate_skips[lr] += 1;
-                } else if self.schedule_bank(local, now, mit, moff) {
+                if self.schedule_bank(local, now, mit, moff) {
                     *progressed = true;
                 }
                 if self.queues[local].is_empty()
@@ -1106,23 +974,16 @@ impl ChannelShard {
                 {
                     self.active.remove(local);
                 }
-                // Mid-pass bus claim (an issue above, or a mitigation
-                // consult raising `block_until`): every remaining bank's
-                // gate takes the same skip, so the rest of the walk is a
-                // no-op — identical to the old per-bank `continue`.
-                if self.engine != EngineMode::FullScan
-                    && (self.cmd_ready > now || self.block_until > now)
-                {
-                    return;
-                }
             }
         }
     }
 
-    /// The calendar engine's scheduling loop: visit exactly the banks the
-    /// walk engine would have visited — the banks whose calendar event
+    /// The calendar engine's scheduling loop: visit exactly the banks
+    /// whose visit can have an effect — the banks whose calendar event
     /// fired at or before `now`, merged in ascending bank order with the
-    /// `pending` pool (the two are disjoint by construction).
+    /// `pending` pool (the two are disjoint by construction). Every bank
+    /// the reference scan visits beyond these provably issues nothing and
+    /// changes nothing.
     fn pass_calendar(
         &mut self,
         now: Cycle,
@@ -1131,12 +992,12 @@ impl ChannelShard {
         progressed: &mut bool,
     ) {
         // Shard-global bus gate, hoisted: with the command bus claimed at
-        // pass entry the walk engine skips every bank (no visits, no
-        // deactivations — see `pass_walk`'s entry gate), so the whole pass
-        // is a no-op. Due heap entries stay put and pop once the bus
-        // frees; completion-driven passes cost O(1) here. The per-bank
-        // checks below stay load-bearing because `schedule_bank` re-claims
-        // the bus mid-pass.
+        // pass entry `schedule_bank` returns at its first check for every
+        // bank, so no visit can issue or consult and the whole pass is
+        // skipped. Due heap entries stay put and pop once the bus frees;
+        // completion-driven passes cost O(1) here. The per-bank checks
+        // below stay load-bearing because `schedule_bank` re-claims the
+        // bus mid-pass.
         if self.cmd_ready > now || self.block_until > now {
             self.bus_gate_skips += 1;
             return;
@@ -1177,9 +1038,9 @@ impl ChannelShard {
     }
 
     /// Visits a bank whose calendar event fired (its heap entry is already
-    /// popped). A live fired entry is either exact (the walk engine would
-    /// visit the bank at `now` too) or stale-early under the module's
-    /// monotone-later contract (the visit is provably side-effect-free);
+    /// popped). A live fired entry is either exact (the bank's frontier
+    /// is `now`) or stale-early under the module's monotone-later
+    /// contract (the visit is provably side-effect-free);
     /// either way the bank ends the visit in `pending`, re-parked, or
     /// deactivated — never silently dropped.
     fn visit_fired(
@@ -1191,15 +1052,15 @@ impl ChannelShard {
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
-            // Bus claimed: the walk engine would skip and revisit next
-            // pass; park the bank so it isn't lost.
+            // Bus claimed: the visit would be a no-op; park the bank so
+            // the next pass revisits it.
             self.pending.insert(local);
             return;
         }
         // Stale-early pop: the entry fired at its old key but the bank's
         // true frontier has since moved later (an unrouted coupling).
-        // Revalidate in O(1) and re-park instead of paying the provably
-        // no-op `schedule_bank` the walk engine would perform.
+        // Revalidate in O(1) and re-park instead of paying for a provably
+        // no-op `schedule_bank`.
         if !self.slot_valid(local) {
             let _ = self.revalidate_coupled(local);
         }
@@ -1218,21 +1079,15 @@ impl ChannelShard {
         let lr = local / self.bpr;
         if self.rank_closed[lr] || self.recovery_due_bank[local] > 0 {
             self.rank_gate_skips[lr] += 1;
-        } else {
-            let issued = match self.try_resolved(local, now, mit, moff) {
-                Some(issued) => issued,
-                None => self.schedule_bank(local, now, mit, moff),
-            };
-            if issued {
-                *progressed = true;
-            }
+        } else if self.schedule_bank(local, now, mit, moff) {
+            *progressed = true;
         }
         self.dispose(local);
     }
 
-    /// Visits a bank from the `pending` pool, applying the walk engine's
-    /// frontier gate: a provably-idle bank graduates to the calendar
-    /// instead of being re-examined every pass.
+    /// Visits a bank from the `pending` pool, applying the frontier gate:
+    /// a provably-idle bank graduates to the calendar instead of being
+    /// re-examined every pass.
     fn visit_pending(
         &mut self,
         local: usize,
@@ -1242,12 +1097,12 @@ impl ChannelShard {
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
-            return; // stays pending — exactly the walk engine's skip
+            return; // stays pending: the visit would be a no-op
         }
         // A coupled-stale slot revalidates in O(1); if the fresh frontier
         // still lies beyond `now` the visit below would provably be a
-        // side-effect-free no-op (the walk engine performs it anyway and
-        // changes nothing), so taking the gate instead is exact.
+        // side-effect-free no-op (the reference scan performs it anyway
+        // and changes nothing), so taking the gate instead is exact.
         if !self.slot_valid(local) {
             let _ = self.revalidate_coupled(local);
         }
@@ -1267,20 +1122,14 @@ impl ChannelShard {
         let lr = local / self.bpr;
         if self.rank_closed[lr] || self.recovery_due_bank[local] > 0 {
             self.rank_gate_skips[lr] += 1;
-        } else {
-            let issued = match self.try_resolved(local, now, mit, moff) {
-                Some(issued) => issued,
-                None => self.schedule_bank(local, now, mit, moff),
-            };
-            if issued {
-                *progressed = true;
-            }
+        } else if self.schedule_bank(local, now, mit, moff) {
+            *progressed = true;
         }
         self.dispose(local);
     }
 
     /// Post-visit disposition (calendar engine): deactivate a bank with
-    /// nothing left to do — the walk engine's deactivation check — else
+    /// nothing left to do — the reference scan's deactivation check — else
     /// park it in `pending` (the next `next_min` graduates it back to the
     /// calendar once its memo revalidates).
     fn dispose(&mut self, local: usize) {
@@ -1401,7 +1250,7 @@ impl ChannelShard {
         if let Some(open_da) = self.lane().open_row(bank) {
             let epoch = mit.remap_epoch(mit_bank);
             let tr = PhaseTimer::start_if::<PROF>(&mut self.profile);
-            let hit_idx = if self.linear_frfcfs {
+            let hit_idx = if self.engine == Engine::Reference {
                 self.queues[local]
                     .iter_mut()
                     .position(|r| r.da(mit_bank, epoch, mit) == open_da)
@@ -1547,262 +1396,6 @@ impl ChannelShard {
         false
     }
 
-    /// The resolved calendar's fast path: when the visited bank's memoized
-    /// decision ([`FrontierSlot::resolved`]) is still pinned by its seq
-    /// stamps, issue it directly — skipping `schedule_bank`'s branch
-    /// re-selection (the open-row read, RAA probe, row-index probe, and
-    /// dispatch). Returns `None` when the cache does not apply, in which
-    /// case the caller falls back to the full decision tree.
-    ///
-    /// What stays live even here: the caller's bus/`block_until` gate and
-    /// hoisted rank gate, the per-bank recovery-debt read, and the issue
-    /// timing checks below — a decision says *what* to issue, never
-    /// whether the gates or the lane allow it *now*.
-    #[inline]
-    fn try_resolved(
-        &mut self,
-        local: usize,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) -> Option<bool> {
-        if !self.resolved {
-            return None;
-        }
-        let slot = self.frontier[local];
-        if slot.resolved == Resolved::None
-            || slot.consult_pending
-            || slot.raw > now
-            || !self.slot_valid(local)
-        {
-            return None;
-        }
-        // Fresh-derivation cross-check (debug builds, so every tier-1 test
-        // exercises it on top of the differential fuzzer): the cached
-        // decision must be exactly what branch selection concludes now.
-        #[cfg(debug_assertions)]
-        {
-            let needs_rfm = self.needs_rfm(local);
-            let fresh = self.bank_frontier_raw(local, needs_rfm, mit, moff).3;
-            // The epoch stamp is excluded: wrappers like `Retranslate`
-            // report a fresh epoch per *query* while the translation stays
-            // pure, so two derivations of the same decision can carry
-            // different stamps. Every use of the stamp re-checks against
-            // the live `row_index` epoch anyway.
-            let same = match (fresh, slot.resolved) {
-                (
-                    Resolved::Cas {
-                        seq: fs, da: fd, ..
-                    },
-                    Resolved::Cas {
-                        seq: cs, da: cd, ..
-                    },
-                ) => fs == cs && fd == cd,
-                (f, c) => f == c,
-            };
-            debug_assert!(
-                same,
-                "resolved decision drifted from a fresh derivation (bank {local}): \
-                 {fresh:?} vs {:?}",
-                slot.resolved
-            );
-        }
-        Some(if self.profile.is_some() {
-            self.consume_resolved::<true>(local, slot.resolved, now, mit, moff)
-        } else {
-            self.consume_resolved::<false>(local, slot.resolved, now, mit, moff)
-        })
-    }
-
-    /// Issues a memoized decision, replicating the matching
-    /// `schedule_bank` issue path exactly (same timing guards, same side
-    /// effects, same profiler phases). On a CAS with further queued hits
-    /// to the same open row, streams the burst: the bank's *next* resolved
-    /// decision is written straight into its slot, stamped with the
-    /// post-issue counters — the next beat then validates in O(1) and
-    /// issues at tCCD cadence with no re-arbitration (see the module
-    /// docs).
-    fn consume_resolved<const PROF: bool>(
-        &mut self,
-        local: usize,
-        resolved: Resolved,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) -> bool {
-        let bank = self.gbank(local);
-        let mit_bank = moff + local;
-        match resolved {
-            Resolved::None => unreachable!("caller filters unresolved slots"),
-            Resolved::Pre => {
-                // All of `schedule_bank`'s PRE branches (RFM drain, row
-                // conflict) issue identically.
-                if self.lane().earliest_pre(bank, now) <= now {
-                    self.issue(DramCommand::Pre { bank }, now);
-                    return true;
-                }
-                false
-            }
-            Resolved::Rfm => {
-                if self.lane().earliest_act(bank, now, &self.timing) <= now {
-                    self.issue(DramCommand::Rfm { bank }, now);
-                    self.raa
-                        .as_mut()
-                        .expect("raa exists")
-                        .on_rfm(BankId(local as u32));
-                    let t = PhaseTimer::start_if::<PROF>(&mut self.profile);
-                    let action = mit.on_rfm(mit_bank);
-                    if PROF {
-                        t.stop(&mut self.profile, Phase::Rng);
-                    }
-                    let t = PhaseTimer::start_if::<PROF>(&mut self.profile);
-                    Self::apply_mitigation_work(
-                        &mut self.ledgers[local],
-                        &action.refreshes,
-                        &action.copies,
-                        now,
-                    );
-                    if PROF {
-                        t.stop(&mut self.profile, Phase::Ledger);
-                    }
-                    if action.channel_block_ns > 0.0 {
-                        let cycles = self.timing.clock.ns_to_cycles(action.channel_block_ns);
-                        self.block_until = self.block_until.max(now + cycles);
-                        self.blocked_cycles += cycles;
-                    }
-                    return true;
-                }
-                false
-            }
-            Resolved::Cas { seq, da, epoch } => {
-                let idx = self.queues[local].partition_point(|r| r.seq < seq);
-                debug_assert_eq!(self.queues[local][idx].seq, seq, "resolved seq out of sync");
-                let write = self.queues[local][idx].write;
-                // The memoized frontier is `min(rd, wr)` whatever the
-                // hit's direction, so the slot can legitimately fire
-                // before a write's tWTR/tCWL window clears — re-check the
-                // *actual* direction's lane earliest, the exact guard the
-                // full hit path applies, and decline without side effects.
-                let t = if write {
-                    self.lane().earliest_wr(bank, now, &self.timing)
-                } else {
-                    self.lane().earliest_rd(bank, now, &self.timing)
-                };
-                if t > now {
-                    return false;
-                }
-                let req = self.queues[local].remove(idx).expect("index valid");
-                self.queued -= 1;
-                if self.row_index[local].epoch == epoch {
-                    let ridx = &mut self.row_index[local];
-                    let bucket = ridx.map.get_mut(&da).expect("dequeued row is indexed");
-                    let popped = bucket.pop_front();
-                    debug_assert_eq!(popped, Some(req.seq), "row index out of sync");
-                    if bucket.is_empty() {
-                        if let Some(b) = ridx.map.remove(&da) {
-                            ridx.pool.push(b);
-                        }
-                    }
-                }
-                let cmd = if write {
-                    DramCommand::Wr { bank }
-                } else {
-                    DramCommand::Rd { bank }
-                };
-                let res = self.issue(cmd, now);
-                let done = res.done_at.expect("CAS returns done");
-                self.latency.record(done - req.enqueued_at);
-                if req.core != POSTED {
-                    debug_assert!(self.pending_completion.is_none());
-                    self.pending_completion = Some((done, req.core));
-                }
-                // CAS-burst streaming: the row is still open (RD/WR never
-                // close it), the index is still exact (the pop above kept
-                // it so), and no counter the slot pins can have moved
-                // between here and the bank's next examination without
-                // invalidating the stamps below. Writing the next beat's
-                // decision now is therefore byte-identical to what
-                // `refresh_slot` would derive at that examination — minus
-                // its open-row read, index probe, and branch selection.
-                if self.row_index[local].epoch == epoch {
-                    if let Some(&next_seq) =
-                        self.row_index[local].map.get(&da).and_then(|b| b.front())
-                    {
-                        let raw = self
-                            .lane()
-                            .earliest_rd(bank, 0, &self.timing)
-                            .min(self.lane().earliest_wr(bank, 0, &self.timing));
-                        let intrinsic = self.lane().cas_intrinsic(bank);
-                        debug_assert_eq!(
-                            raw,
-                            intrinsic.max(self.slot_floor(FrontierScope::Channel, local))
-                        );
-                        self.frontier[local] = FrontierSlot {
-                            bank_cmd_seq: self.bank_cmd_seq[local],
-                            bank_seq: self.bank_seq[local],
-                            coupled_seq: self.cas_seq,
-                            raw,
-                            intrinsic,
-                            scope: FrontierScope::Channel,
-                            consult_pending: false,
-                            resolved: Resolved::Cas {
-                                seq: next_seq,
-                                da,
-                                epoch,
-                            },
-                        };
-                    }
-                }
-                true
-            }
-            Resolved::Act => {
-                // The head is charged — `consult_pending` was false at
-                // memo time and head charging bumps `bank_seq`.
-                let head_ready = self.queues[local].front().expect("head").ready_at;
-                if head_ready > now || self.block_until > now {
-                    return false;
-                }
-                if self.lane().earliest_act(bank, now, &self.timing) <= now {
-                    let epoch = mit.remap_epoch(mit_bank);
-                    let tr = PhaseTimer::start_if::<PROF>(&mut self.profile);
-                    let (pa_row, da) = {
-                        let head = self.queues[local].front_mut().expect("head");
-                        (head.pa_row, head.da(mit_bank, epoch, mit))
-                    };
-                    if PROF {
-                        tr.stop(&mut self.profile, Phase::Translate);
-                    }
-                    self.issue(DramCommand::Act { bank, row: da }, now);
-                    let t = PhaseTimer::start_if::<PROF>(&mut self.profile);
-                    self.ledgers[local].on_activate(da, now);
-                    if PROF {
-                        t.stop(&mut self.profile, Phase::Ledger);
-                    }
-                    if let Some(raa) = &mut self.raa {
-                        if mit.counts_toward_rfm(mit_bank, pa_row) {
-                            raa.on_act(BankId(local as u32));
-                        }
-                    }
-                    if let Some(spec) = self.abo {
-                        if mit.on_act_issued(mit_bank, da) {
-                            self.abo_events += 1;
-                            match spec.scope {
-                                AboScope::Rank => {
-                                    self.recovery_due_rank[local / self.bpr] += spec.rfms_per_alert;
-                                }
-                                AboScope::Bank => {
-                                    self.recovery_due_bank[local] += spec.rfms_per_alert;
-                                }
-                            }
-                        }
-                    }
-                    return true;
-                }
-                false
-            }
-        }
-    }
-
     /// Rebuilds local bank `local`'s row index unless it is already
     /// current for `epoch`: one pass over the queue in seq order, caching
     /// each request's translation exactly as the linear scan would (the
@@ -1837,65 +1430,52 @@ impl ChannelShard {
     /// difference never reaches the scheduler.
     ///
     /// Also returns the bank-scoped part of the value (see
-    /// [`FrontierSlot::intrinsic`]), the widest cross-bank coupling the
+    /// [`FrontierSlot::intrinsic`]) and the widest cross-bank coupling the
     /// value read — which `earliest_*` family the taken branch consulted —
-    /// so the memo can be pinned at exactly that scope, and the branch's
-    /// [`Resolved`] decision: the branch selection performed here is
-    /// byte-for-byte the one `schedule_bank` performs, so recording its
-    /// outcome costs nothing beyond fishing the oldest hit's seq out of
-    /// the probe the hit branch already pays for.
+    /// so the memo can be pinned at exactly that scope.
     fn bank_frontier_raw(
         &mut self,
         local: usize,
         needs_rfm: bool,
         mit: &mut AnyMitigation,
         moff: usize,
-    ) -> (Cycle, Cycle, FrontierScope, Resolved) {
+    ) -> (Cycle, Cycle, FrontierScope) {
         let bank = self.gbank(local);
         if needs_rfm {
             if self.lane().open_row(bank).is_some() {
                 let raw = self.lane().earliest_pre(bank, 0);
-                (raw, raw, FrontierScope::Bank, Resolved::Pre)
+                (raw, raw, FrontierScope::Bank)
             } else {
                 (
                     self.lane().earliest_act(bank, 0, &self.timing),
                     self.lane().act_intrinsic(bank),
                     FrontierScope::Rank,
-                    Resolved::Rfm,
                 )
             }
         } else if let Some(open_da) = self.lane().open_row(bank) {
             let mit_bank = moff + local;
             let epoch = mit.remap_epoch(mit_bank);
             let tr = PhaseTimer::start(&mut self.profile);
-            let hit_seq = if self.linear_frfcfs {
+            let has_hit = if self.engine == Engine::Reference {
                 self.queues[local]
                     .iter_mut()
-                    .find_map(|r| (r.da(mit_bank, epoch, mit) == open_da).then_some(r.seq))
+                    .any(|r| r.da(mit_bank, epoch, mit) == open_da)
             } else {
                 self.ensure_index(local, epoch, mit_bank, mit);
-                self.row_index[local]
-                    .map
-                    .get(&open_da)
-                    .map(|bucket| *bucket.front().expect("row buckets are never left empty"))
+                self.row_index[local].map.contains_key(&open_da)
             };
             tr.stop(&mut self.profile, Phase::Translate);
-            if let Some(seq) = hit_seq {
+            if has_hit {
                 (
                     self.lane()
                         .earliest_rd(bank, 0, &self.timing)
                         .min(self.lane().earliest_wr(bank, 0, &self.timing)),
                     self.lane().cas_intrinsic(bank),
                     FrontierScope::Channel,
-                    Resolved::Cas {
-                        seq,
-                        da: open_da,
-                        epoch,
-                    },
                 )
             } else {
                 let raw = self.lane().earliest_pre(bank, 0);
-                (raw, raw, FrontierScope::Bank, Resolved::Pre)
+                (raw, raw, FrontierScope::Bank)
             }
         } else {
             let head_ready = self.queues[local].front().map(|r| r.ready_at).unwrap_or(0);
@@ -1905,7 +1485,6 @@ impl ChannelShard {
                     .max(head_ready),
                 self.lane().act_intrinsic(bank).max(head_ready),
                 FrontierScope::Rank,
-                Resolved::Act,
             )
         }
     }
@@ -1938,7 +1517,7 @@ impl ChannelShard {
         mit: &mut AnyMitigation,
         moff: usize,
     ) {
-        let (raw, intrinsic, scope, resolved) = self.bank_frontier_raw(local, needs_rfm, mit, moff);
+        let (raw, intrinsic, scope) = self.bank_frontier_raw(local, needs_rfm, mit, moff);
         // The O(1) revalidation identity: the coupled state enters every
         // lane `earliest_*` purely as a floor over the bank-scoped part.
         debug_assert_eq!(raw, intrinsic.max(self.slot_floor(scope, local)));
@@ -1953,14 +1532,6 @@ impl ChannelShard {
             intrinsic,
             scope,
             consult_pending,
-            // The decision cache is the resolved calendar's alone — the
-            // reference engines (and `force_unresolved_calendar`) keep
-            // re-deriving every decision through the full tree.
-            resolved: if self.resolved {
-                resolved
-            } else {
-                Resolved::None
-            },
         };
     }
 
@@ -1970,7 +1541,7 @@ impl ChannelShard {
     /// they are functions of bank-scoped state — so the fresh `raw` is just
     /// the memoized intrinsic under the re-read floor. Returns false when
     /// the bank-scoped counters themselves moved (full `refresh_slot`
-    /// required). Calendar engine only; the walk recomputes in full.
+    /// required). Calendar engine only.
     #[inline]
     fn revalidate_coupled(&mut self, local: usize) -> bool {
         let slot = self.frontier[local];
@@ -1998,7 +1569,7 @@ impl ChannelShard {
         // untouched since the skipped pass, and the tREFI probe lands on
         // the same boundary while `now < cached_next`. A recompute would
         // return the identical value.
-        if self.engine == EngineMode::Calendar && self.cache_clean && self.cached_next > now {
+        if self.engine == Engine::Fast && self.cache_clean && self.cached_next > now {
             return self.cached_next;
         }
         let sched = PhaseTimer::start(&mut self.profile);
@@ -2013,7 +1584,7 @@ impl ChannelShard {
             // the full scan did). The reference engine re-activates every
             // bank and bypasses the memo so it keeps exercising the
             // original recompute-every-bank path.
-            EngineMode::FullScan => {
+            Engine::Reference => {
                 self.active.insert_all();
                 for w in 0..self.active.words() {
                     let mut bits = self.active.word(w);
@@ -2029,29 +1600,12 @@ impl ChannelShard {
                     }
                 }
             }
-            EngineMode::FrontierWalk => {
-                for w in 0..self.active.words() {
-                    let mut bits = self.active.word(w);
-                    while bits != 0 {
-                        let local = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let needs_rfm = self.needs_rfm(local);
-                        if self.queues[local].is_empty() && !needs_rfm {
-                            continue;
-                        }
-                        if !self.slot_valid(local) {
-                            self.refresh_slot(local, needs_rfm, mit, moff);
-                        }
-                        next = next.min(self.frontier[local].raw.max(floor));
-                    }
-                }
-            }
-            EngineMode::Calendar => {
-                // Pending banks contribute like the walk — and any bank
-                // whose refreshed memo proves it idle with no consult
-                // armed graduates to the calendar, so it never costs
-                // another examination until its event fires or a routed
-                // mutation pulls it back.
+            Engine::Fast => {
+                // Pending banks contribute their memoized frontier — and
+                // any bank whose refreshed memo proves it idle with no
+                // consult armed graduates to the calendar, so it never
+                // costs another examination until its event fires or a
+                // routed mutation pulls it back.
                 for w in 0..self.pending.words() {
                     let mut bits = self.pending.word(w);
                     while bits != 0 {
@@ -2062,7 +1616,7 @@ impl ChannelShard {
                             // No bank event possible; stays pending so the
                             // pass keeps examining it (Closed-policy
                             // eager-PRE banks must not contribute here,
-                            // matching the walk engine's skip) — which
+                            // matching the reference scan's skip) — which
                             // also means the pass is not skippable.
                             skip_ok = false;
                             continue;
@@ -2138,7 +1692,7 @@ impl ChannelShard {
         // conservative form — a due rank contributes `now` (the clock then
         // steps one cycle at a time through the whole postponement
         // stretch) and an undue rank the next tREFI boundary — is what the
-        // walk and scan engines return, and what the calendar engine's
+        // reference scan returns, and what the calendar engine's
         // `legacy_next` records: the coordinator falls back to the min of
         // the legacy bounds whenever any shard needs per-pass examination,
         // because that shard's consult and eager-PRE timing inherited the
@@ -2148,7 +1702,7 @@ impl ChannelShard {
         // debt hits the JEDEC limit, which is where most 1-cycle clock
         // pins came from — is this shard's `next_min` value when it is
         // itself skippable, and drives the clock only when every shard is.
-        let exact = self.engine == EngineMode::Calendar && skip_ok;
+        let exact = self.engine == Engine::Fast && skip_ok;
         let mut refresh_wake = Cycle::MAX;
         let mut legacy_next = next;
         for lr in 0..self.ranks {
@@ -2170,7 +1724,7 @@ impl ChannelShard {
             }
         }
         self.legacy_next = legacy_next;
-        if self.engine == EngineMode::Calendar {
+        if self.engine == Engine::Fast {
             self.cached_next = next;
             self.cache_clean = true;
             self.skip_ok = skip_ok;
@@ -2274,13 +1828,7 @@ mod tests {
         }
     }
 
-    fn build_shard(
-        engine: EngineMode,
-        policy: PagePolicy,
-        raaimt: u32,
-        linear_frfcfs: bool,
-        resolved: bool,
-    ) -> ChannelShard {
+    fn build_shard(engine: Engine, policy: PagePolicy, raaimt: u32) -> ChannelShard {
         let geo = twin_geometry();
         let tp = TimingParams::tiny();
         let banks = geo.total_banks() as usize;
@@ -2301,8 +1849,6 @@ mod tests {
             ranks,
             policy,
             engine,
-            linear_frfcfs,
-            resolved,
             tp,
             ledgers,
             Some(RaaCounters::new(banks, raaimt)),
@@ -2312,13 +1858,13 @@ mod tests {
         shard
     }
 
-    /// Drives five engine twins (resolved calendar, unresolved calendar,
-    /// frontier walk, full scan, full scan + linear FR-FCFS) through one
+    /// Drives two engine twins (the fast calendar with the row index, the
+    /// reference full scan with the linear FR-FCFS walk) through one
     /// identical randomized sequence of admissions, passes, and `next_min`
     /// probes, asserting lock-step agreement on every observable: the
-    /// issued command stream, CAS completions, progress flags, queue
-    /// depths, and — the calendar's exactness contract — every `next_min`
-    /// value.
+    /// issued command stream, CAS completions, progress flags, and queue
+    /// depths — plus the calendar's exactness contract against every
+    /// `next_min` value the scan returns.
     ///
     /// The clock advance deliberately mixes event jumps (`next_min`) with
     /// single-cycle crawls and random stutters, so the calendar engine is
@@ -2335,18 +1881,9 @@ mod tests {
         };
         // A tiny RAAIMT forces RFM recovery events into every run.
         let raaimt = rng.gen_range(3, 9) as u32;
-        // The second twin runs the calendar with the resolved-decision
-        // cache defeated (`force_unresolved_calendar`), differentially
-        // checking decision consumption and CAS-burst streaming against
-        // the per-pass re-derivation; the fifth runs the full scan with
-        // the linear FR-FCFS reference, so every sequence also checks the
-        // row index against the original hit scan.
         let mut shards = [
-            build_shard(EngineMode::Calendar, policy, raaimt, false, true),
-            build_shard(EngineMode::Calendar, policy, raaimt, false, false),
-            build_shard(EngineMode::FrontierWalk, policy, raaimt, false, false),
-            build_shard(EngineMode::FullScan, policy, raaimt, false, false),
-            build_shard(EngineMode::FullScan, policy, raaimt, true, false),
+            build_shard(Engine::Fast, policy, raaimt),
+            build_shard(Engine::Reference, policy, raaimt),
         ];
         let geo = twin_geometry();
         let banks = geo.total_banks() as usize;
@@ -2358,7 +1895,7 @@ mod tests {
         // recovery all participate.
         let horizon: Cycle = TimingParams::tiny().t_refi * 6;
         let (mut acts, mut cas, mut refs) = (0u64, 0u64, 0u64);
-        let mut admits: Vec<Vec<(usize, QueuedReq)>> = vec![Vec::new(); 5];
+        let mut admits: Vec<Vec<(usize, QueuedReq)>> = vec![Vec::new(); 2];
         while now < horizon {
             if rng.gen_bool(0.4) {
                 for _ in 0..rng.gen_range(1, 4) {
@@ -2400,50 +1937,33 @@ mod tests {
                 .iter_mut()
                 .map(|s| s.next_min(now, &mut mit, 0))
                 .collect();
-            assert_eq!(
-                mins[2], mins[3],
-                "frontier-walk vs full-scan next_min, seed {seed} @ {now}"
-            );
-            assert_eq!(
-                mins[4], mins[3],
-                "linear-frfcfs vs indexed full-scan next_min, seed {seed} @ {now}"
-            );
-            // The resolved-decision cache never changes a frontier value —
-            // a streamed slot stores exactly what a fresh derivation
-            // computes — so the two calendar twins agree to the cycle.
-            assert_eq!(
-                mins[0], mins[1],
-                "resolved vs unresolved calendar next_min, seed {seed} @ {now}"
-            );
             // The calendar's exact refresh wake may legitimately exceed
-            // the legacy engines' conservative pin — but never undercut
-            // it, and the reply-equality asserts above prove every cycle
-            // it would skip is a no-op on the legacy engines too (the
-            // driver's crawl/stutter branches visit those cycles).
+            // the scan's conservative pin — but never undercut it, and the
+            // reply-equality asserts above prove every cycle it would skip
+            // is a no-op on the scan too (the driver's crawl/stutter
+            // branches visit those cycles).
             assert!(
-                mins[0] >= mins[2],
-                "calendar next_min undercut the walk ({} < {}), seed {seed} @ {now}",
+                mins[0] >= mins[1],
+                "calendar next_min undercut the scan ({} < {}), seed {seed} @ {now}",
                 mins[0],
-                mins[2]
+                mins[1]
             );
             // The fallback bound the coordinator uses when any shard
             // needs per-pass examination must be cadence-identical to the
-            // legacy engines' value — that equivalence is what makes the
-            // cross-shard fallback reproduce the walk's crawl. Compare
+            // scan's value — that equivalence is what makes the
+            // cross-shard fallback reproduce the scan's crawl. Compare
             // under the coordinator's `max(now + 1)` clamp: the calendar's
             // cache-reuse path legitimately keeps a stale due-rank pin
             // (`now0 < now`) that the clamp maps to the same next cycle.
-            for cal in 0..2 {
-                assert_eq!(
-                    shards[cal].legacy_next().max(now + 1),
-                    mins[2].max(now + 1),
-                    "calendar twin {cal} legacy_next vs walk next_min, seed {seed} @ {now}"
-                );
-                assert!(
-                    !shards[cal].skip_ok() || mins[cal] >= shards[cal].legacy_next(),
-                    "skippable shard's exact wake below its legacy bound, seed {seed} @ {now}"
-                );
-            }
+            assert_eq!(
+                shards[0].legacy_next().max(now + 1),
+                mins[1].max(now + 1),
+                "calendar legacy_next vs scan next_min, seed {seed} @ {now}"
+            );
+            assert!(
+                !shards[0].skip_ok() || mins[0] >= shards[0].legacy_next(),
+                "skippable shard's exact wake below its legacy bound, seed {seed} @ {now}"
+            );
             // Advance: usually jump to the event, sometimes crawl or
             // stutter short of it to provoke stale/early calendar pops.
             now = if replies[0].progressed || rng.gen_bool(0.25) {
@@ -2483,7 +2003,7 @@ mod tests {
     fn calendar_pool_partition_invariant() {
         // After any randomized drive, a calendar shard's examined pool and
         // parked pool stay disjoint subsets of the active set.
-        let mut shard = build_shard(EngineMode::Calendar, PagePolicy::Open, 4, false, true);
+        let mut shard = build_shard(Engine::Fast, PagePolicy::Open, 4);
         let mut mit = AnyMitigation::from(Box::new(NoMitigation::new()) as Box<dyn Mitigation>);
         let mut rng = Xoshiro256::seed_from_u64(0xD15_701);
         let banks = twin_geometry().total_banks() as usize;

@@ -28,7 +28,7 @@ use shadow_dram::device::DramDevice;
 use shadow_dram::geometry::DramGeometry;
 use shadow_dram::mapping::AddressMapper;
 use shadow_dram::rfm::RaaCounters;
-use shadow_mitigations::{AboSpec, AnyMitigation, Mitigation};
+use shadow_mitigations::{AboSpec, AnyMitigation, Mitigation, Retranslate};
 use shadow_rh::HammerLedger;
 use shadow_sim::events::EventQueue;
 use shadow_sim::profiler::PhaseProfile;
@@ -36,11 +36,11 @@ use shadow_sim::stats::Histogram;
 use shadow_sim::time::Cycle;
 use shadow_workloads::RequestStream;
 
-use crate::config::SystemConfig;
+use crate::config::{Engine, SystemConfig};
 use crate::cpu::CpuCore;
 use crate::error::{BankStall, SimError, StallKind, StallSnapshot};
 use crate::report::SimReport;
-use crate::shard::{ChannelShard, EngineMode, QueuedReq, ShardReply, NO_EPOCH, POSTED};
+use crate::shard::{ChannelShard, QueuedReq, ShardReply, NO_EPOCH, POSTED};
 
 /// Coordinator-to-worker message of the sharded engine.
 enum WorkerMsg {
@@ -154,10 +154,13 @@ impl MemSystem {
     /// Assembles a system: one core per stream, the given mitigation.
     ///
     /// The mitigation's tRCD extension, refresh-rate multiplier and extra
-    /// DA rows are applied here. When [`SystemConfig::shard_channels`] is
-    /// set, the sharded engine is selected here too — if the config has
-    /// more than one channel, the reference engine is not forced, and the
-    /// mitigation can split its per-channel state.
+    /// DA rows are applied here, and so is [`SystemConfig::engine`]:
+    /// [`Engine::Reference`] wraps the mitigation in [`Retranslate`] and
+    /// builds eager ledgers and full-scan shards. When
+    /// [`SystemConfig::shard_channels`] is set, the sharded engine is
+    /// selected here too — if the config has more than one channel, the
+    /// engine is [`Engine::Fast`], and the mitigation can split its
+    /// per-channel state.
     ///
     /// # Errors
     ///
@@ -175,6 +178,12 @@ impl MemSystem {
                 "streams",
                 "need at least one core (pass one RequestStream per simulated core)",
             ));
+        }
+        let reference = cfg.engine == Engine::Reference;
+        if reference {
+            // A fresh remap epoch per query: every cached translation is
+            // stale, so every lookup re-translates.
+            mitigation = Box::new(Retranslate::new(mitigation));
         }
         let mut timing = cfg.timing;
         timing.t_rcd_extra += mitigation.t_rcd_extra_cycles();
@@ -210,7 +219,7 @@ impl MemSystem {
             None
         };
         let make_ledger = || {
-            if cfg.force_eager_ledger {
+            if reference {
                 HammerLedger::new_eager(
                     phys_geo.rows_per_bank(),
                     phys_geo.rows_per_subarray,
@@ -219,13 +228,6 @@ impl MemSystem {
             } else {
                 HammerLedger::new(phys_geo.rows_per_bank(), phys_geo.rows_per_subarray, cfg.rh)
             }
-        };
-        let engine = if cfg.force_full_scan {
-            EngineMode::FullScan
-        } else if cfg.force_frontier_walk {
-            EngineMode::FrontierWalk
-        } else {
-            EngineMode::Calendar
         };
         // Capture the ABO contract before a sharded split drains the
         // scheme's state (the spec itself is stable, but the capture point
@@ -239,9 +241,7 @@ impl MemSystem {
                     banks_per_channel,
                     ranks_per_channel,
                     cfg.page_policy,
-                    engine,
-                    cfg.force_linear_frfcfs,
-                    !cfg.force_unresolved_calendar,
+                    cfg.engine,
                     timing,
                     (0..banks_per_channel).map(|_| make_ledger()).collect(),
                     raaimt.map(|r| RaaCounters::new(banks_per_channel, r)),
@@ -254,7 +254,7 @@ impl MemSystem {
         // The sharded engine needs per-channel mitigation state; a scheme
         // that cannot split (or a single-channel config, or the reference
         // engine) falls back to serial execution — same results either way.
-        let pieces = if cfg.shard_channels && !cfg.force_full_scan && channels > 1 {
+        let pieces = if cfg.shard_channels && !reference && channels > 1 {
             mitigation
                 .split_channels(channels, banks_per_channel)
                 .map(|ps| ps.into_iter().map(AnyMitigation::from).collect())
@@ -321,8 +321,8 @@ impl MemSystem {
     }
 
     /// Whether this system resolved to the sharded engine (the config
-    /// asked for it, the geometry has more than one channel, the reference
-    /// engine is not forced, and the mitigation split its state).
+    /// asked for it, the geometry has more than one channel, the engine is
+    /// [`Engine::Fast`], and the mitigation split its state).
     pub fn sharding_active(&self) -> bool {
         self.pieces.is_some()
     }
@@ -471,7 +471,7 @@ impl MemSystem {
         // included — so the calendar engine's exact wake bounds are only
         // sound for the clock advance when every shard is skippable.
         // Otherwise fall back to the min of the legacy-form bounds, which
-        // reproduces the walk engine's cadence exactly.
+        // reproduces the reference scan's cadence exactly.
         let mut exact_min = Cycle::MAX;
         let mut legacy_min = Cycle::MAX;
         let mut all_skip = true;
@@ -658,7 +658,8 @@ impl MemSystem {
             // repeat-while-progress loop, so the differential harness pins
             // this short-circuit cell for cell.
             let repeat = progressed
-                && (self.cfg.force_full_scan || self.completions.next_at() == Some(self.now));
+                && (self.cfg.engine == Engine::Reference
+                    || self.completions.next_at() == Some(self.now));
             // The `done()` guard matches the naive loop's exit shape: there,
             // the terminal pass progresses and the loop exits at the top
             // before any no-progress pass can advance `now` — so the
@@ -834,7 +835,7 @@ impl MemSystem {
                 // Same fallback rule as `next_event_after_serial`: the
                 // exact wake bounds drive the clock only when every shard
                 // is skippable; otherwise the legacy-form min reproduces
-                // the walk engine's crawl cadence for the shard that
+                // the reference scan's crawl cadence for the shard that
                 // needs per-pass examination.
                 let mut exact_min = Cycle::MAX;
                 let mut legacy_min = Cycle::MAX;
@@ -853,7 +854,7 @@ impl MemSystem {
                 }
                 let shard_next = if all_skip { exact_min } else { legacy_min };
                 // Advance exactly as the serial loop does (the sharded
-                // engine never runs with force_full_scan).
+                // engine only runs with `Engine::Fast`).
                 let repeat = progressed && self.completions.next_at() == Some(self.now);
                 if !repeat && !self.done() {
                     let mut next = shard_next;
@@ -1394,10 +1395,10 @@ mod tests {
     }
 
     #[test]
-    fn force_full_scan_defeats_sharding() {
+    fn reference_engine_defeats_sharding() {
         let mut cfg = two_channel_cfg();
         cfg.shard_channels = true;
-        cfg.force_full_scan = true;
+        cfg.engine = Engine::Reference;
         let sys = MemSystem::new(cfg, one_stream(&cfg, 18), Box::new(NoMitigation::new()));
         assert!(
             !sys.sharding_active(),
@@ -1407,63 +1408,26 @@ mod tests {
 
     #[test]
     fn engines_agree_bit_for_bit() {
-        // Calendar (default), frontier walk, and the full-scan reference
-        // must produce identical reports — the whole point of the
-        // lazy-invalidation contract.
-        let calendar_cfg = SystemConfig::tiny();
-        let mut walk_cfg = calendar_cfg;
-        walk_cfg.force_frontier_walk = true;
-        let mut scan_cfg = calendar_cfg;
-        scan_cfg.force_full_scan = true;
+        // The fast engine and the reference engine must produce identical
+        // reports — the whole point of the lazy-invalidation contract.
+        let fast_cfg = SystemConfig::tiny();
+        let mut reference_cfg = fast_cfg;
+        reference_cfg.engine = Engine::Reference;
         for seed in [22, 23] {
-            let cal = MemSystem::new(
-                calendar_cfg,
-                one_stream(&calendar_cfg, seed),
-                Box::new(shadow_for(&calendar_cfg)),
+            let fast = MemSystem::new(
+                fast_cfg,
+                one_stream(&fast_cfg, seed),
+                Box::new(shadow_for(&fast_cfg)),
             )
             .run();
-            let walk = MemSystem::new(
-                walk_cfg,
-                one_stream(&walk_cfg, seed),
-                Box::new(shadow_for(&walk_cfg)),
+            let reference = MemSystem::new(
+                reference_cfg,
+                one_stream(&reference_cfg, seed),
+                Box::new(shadow_for(&reference_cfg)),
             )
             .run();
-            let scan = MemSystem::new(
-                scan_cfg,
-                one_stream(&scan_cfg, seed),
-                Box::new(shadow_for(&scan_cfg)),
-            )
-            .run();
-            assert_eq!(cal, walk, "calendar vs frontier walk (seed {seed})");
-            assert_eq!(cal, scan, "calendar vs full scan (seed {seed})");
+            assert_eq!(fast, reference, "fast vs reference (seed {seed})");
         }
-    }
-
-    #[test]
-    fn frontier_walk_still_shards() {
-        // The walk engine was the shipping engine under sharding before
-        // the calendar landed; forcing it must not defeat sharding.
-        let serial_cfg = {
-            let mut c = two_channel_cfg();
-            c.force_frontier_walk = true;
-            c
-        };
-        let mut sharded_cfg = serial_cfg;
-        sharded_cfg.shard_channels = true;
-        sharded_cfg.shard_threads = 2;
-        let serial = MemSystem::new(
-            serial_cfg,
-            one_stream(&serial_cfg, 24),
-            Box::new(NoMitigation::new()),
-        )
-        .run();
-        let mut sys = MemSystem::new(
-            sharded_cfg,
-            one_stream(&sharded_cfg, 24),
-            Box::new(NoMitigation::new()),
-        );
-        assert!(sys.sharding_active(), "frontier walk must still shard");
-        assert_eq!(serial, sys.run());
     }
 
     #[test]

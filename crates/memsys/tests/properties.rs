@@ -8,7 +8,7 @@
 
 use shadow_core::bank::ShadowConfig;
 use shadow_core::timing::ShadowTiming;
-use shadow_memsys::{MemSystem, PagePolicy, SystemConfig};
+use shadow_memsys::{Engine, MemSystem, PagePolicy, SystemConfig};
 use shadow_mitigations::{Mitigation, NoMitigation, Prac, Rrs, ShadowMitigation};
 use shadow_rh::RhParams;
 use shadow_sim::rng::Xoshiro256;
@@ -89,12 +89,12 @@ fn runs_complete_with_consistent_reports() {
     }
 }
 
-/// The three scheduling engines (event calendar, memoized frontier walk,
-/// full-scan reference) produce bit-identical reports on randomized
-/// workloads and knob settings. This is the system-level face of the
-/// calendar's lazy-invalidation contract: stale heap entries discarded on
-/// pop and seq-counter invalidation must never change what the scheduler
-/// issues, only how much work it does to decide. Case count honors
+/// The two scheduling engines (the fast event calendar and the full-scan
+/// reference) produce bit-identical reports on randomized workloads and
+/// knob settings. This is the system-level face of the calendar's
+/// lazy-invalidation contract: stale heap entries discarded on pop and
+/// seq-counter invalidation must never change what the scheduler issues,
+/// only how much work it does to decide. Case count honors
 /// `PROPTEST_CASES` like the rest of the workspace's randomized suites.
 #[test]
 fn scheduling_engines_agree_on_random_workloads() {
@@ -121,40 +121,23 @@ fn scheduling_engines_agree_on_random_workloads() {
         // RFM recovery in the mix: a small RAAIMT makes the counters trip.
         cfg.raaimt_override = Some(4 + gen.gen_index(28) as u32);
 
-        let run = |mut c: SystemConfig| {
-            c.force_full_scan = false;
-            c.force_frontier_walk = false;
-            c
-        };
-        let calendar = MemSystem::new(
-            run(cfg),
+        let fast = MemSystem::new(
+            cfg,
             build_streams(&kinds, seed),
             Box::new(NoMitigation::new()),
         )
         .run();
-        let mut walk_cfg = cfg;
-        walk_cfg.force_frontier_walk = true;
-        let walk = MemSystem::new(
-            walk_cfg,
-            build_streams(&kinds, seed),
-            Box::new(NoMitigation::new()),
-        )
-        .run();
-        let mut scan_cfg = cfg;
-        scan_cfg.force_full_scan = true;
-        let scan = MemSystem::new(
-            scan_cfg,
+        let mut reference_cfg = cfg;
+        reference_cfg.engine = Engine::Reference;
+        let reference = MemSystem::new(
+            reference_cfg,
             build_streams(&kinds, seed),
             Box::new(NoMitigation::new()),
         )
         .run();
         assert_eq!(
-            calendar, walk,
-            "calendar vs frontier-walk, kinds {kinds:?} seed {seed:#x}"
-        );
-        assert_eq!(
-            calendar, scan,
-            "calendar vs full-scan, kinds {kinds:?} seed {seed:#x}"
+            fast, reference,
+            "fast vs reference, kinds {kinds:?} seed {seed:#x}"
         );
     }
 }
@@ -169,8 +152,8 @@ fn scheduling_engines_agree_on_random_workloads() {
 /// aggressive RAAIMT (SHADOW) and swap thresholds (RRS) make the epoch
 /// bumps land mid-queue, exactly where a stale index would pick a request
 /// whose cached translation no longer matches. Reports *and* command
-/// traces must be bit-identical with `force_linear_frfcfs` on and off.
-/// Case count honors `PROPTEST_CASES`.
+/// traces must be bit-identical between the fast engine (row index) and
+/// the reference engine (linear scan). Case count honors `PROPTEST_CASES`.
 #[test]
 fn row_index_matches_linear_frfcfs_scan() {
     let cases: u64 = std::env::var("PROPTEST_CASES")
@@ -225,16 +208,16 @@ fn row_index_matches_linear_frfcfs_scan() {
                 ))
             }
         };
-        let run_variant = |linear: bool| {
+        let run_variant = |engine: Engine| {
             let mut c = cfg;
-            c.force_linear_frfcfs = linear;
+            c.engine = engine;
             let mut sys = MemSystem::new(c, build_streams(&kinds, seed), mitigation(&c));
             let report = sys.run();
             let trace = sys.take_trace().expect("tracing enabled");
             (report, trace)
         };
-        let (indexed, indexed_trace) = run_variant(false);
-        let (linear, linear_trace) = run_variant(true);
+        let (indexed, indexed_trace) = run_variant(Engine::Fast);
+        let (linear, linear_trace) = run_variant(Engine::Reference);
         assert!(indexed.total_completed() >= cfg.target_requests);
         assert_eq!(
             indexed, linear,
@@ -290,7 +273,7 @@ fn deterministic_under_any_knobs() {
 /// The case is checked in by value — geometry, timing, streams, and the
 /// RRS recipe all pinned — so it survives any future reshuffle of the
 /// fuzzer's scheme table or seed mapping. The property is the one the
-/// fuzzer asserted: calendar, frontier-walk, full-scan, and the 2-worker
+/// fuzzer asserted: the fast engine, the reference engine, and the 2-worker
 /// sharded coordinator stay bit-identical in both report and command trace.
 #[test]
 fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
@@ -375,25 +358,22 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
         let trace = sys.take_trace().expect("tracing enabled");
         (report, trace)
     };
-    let (calendar, calendar_trace) = run_variant(&|_| {});
-    let (walk, walk_trace) = run_variant(&|c| c.force_frontier_walk = true);
-    let (scan, scan_trace) = run_variant(&|c| c.force_full_scan = true);
+    let (fast, fast_trace) = run_variant(&|_| {});
+    let (reference, reference_trace) = run_variant(&|c| c.engine = Engine::Reference);
     let (sharded, sharded_trace) = run_variant(&|c| {
         c.shard_channels = true;
         c.shard_threads = 2;
     });
 
-    assert!(calendar.total_completed() >= cfg.target_requests);
+    assert!(fast.total_completed() >= cfg.target_requests);
     assert!(
-        calendar.commands.get("REF") > 0,
+        fast.commands.get("REF") > 0,
         "case no longer exercises refresh"
     );
-    assert_eq!(calendar, walk, "calendar vs frontier-walk");
-    assert_eq!(calendar, scan, "calendar vs full-scan");
-    assert_eq!(calendar, sharded, "calendar vs sharded");
-    assert_eq!(calendar_trace, walk_trace, "trace: calendar vs walk");
-    assert_eq!(calendar_trace, scan_trace, "trace: calendar vs scan");
-    assert_eq!(calendar_trace, sharded_trace, "trace: calendar vs sharded");
+    assert_eq!(fast, reference, "fast vs reference");
+    assert_eq!(fast, sharded, "fast vs sharded");
+    assert_eq!(fast_trace, reference_trace, "trace: fast vs reference");
+    assert_eq!(fast_trace, sharded_trace, "trace: fast vs sharded");
 }
 
 /// PRAC's Alert Back-Off recovery, end to end: an aggressive threshold on
@@ -401,7 +381,7 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
 /// debt at the ACT-issue point, and the drain issues RFMAB (rank scope,
 /// `PRAC`) or RFMSB (bank scope, `PRACtical`) before normal traffic
 /// resumes. The recovery path rides the refresh-phase command slot and
-/// reads only committed state, so all three serial engines and the
+/// reads only committed state, so both serial engines and the
 /// 2-worker sharded coordinator must stay bit-identical in both report
 /// and command trace — the same contract the conformance fuzzer enforces,
 /// pinned here at memsys level with the scope split asserted explicitly.
@@ -437,21 +417,17 @@ fn prac_abo_recovery_engines_agree() {
             let trace = sys.take_trace().expect("tracing enabled");
             (report, trace)
         };
-        let (calendar, calendar_trace) = run_variant(&|_| {});
-        let (walk, walk_trace) = run_variant(&|c| c.force_frontier_walk = true);
-        let (scan, scan_trace) = run_variant(&|c| c.force_full_scan = true);
+        let (fast, fast_trace) = run_variant(&|_| {});
+        let (reference, reference_trace) = run_variant(&|c| c.engine = Engine::Reference);
         let (sharded, sharded_trace) = run_variant(&|c| {
             c.shard_channels = true;
             c.shard_threads = 2;
         });
 
-        assert!(calendar.total_completed() >= cfg.target_requests);
-        assert!(calendar.abo_events > 0, "threshold never crossed");
-        assert!(calendar.abo_recovery_cycles > 0, "no recovery tax recorded");
-        let (rfmab, rfmsb) = (
-            calendar.commands.get("RFMAB"),
-            calendar.commands.get("RFMSB"),
-        );
+        assert!(fast.total_completed() >= cfg.target_requests);
+        assert!(fast.abo_events > 0, "threshold never crossed");
+        assert!(fast.abo_recovery_cycles > 0, "no recovery tax recorded");
+        let (rfmab, rfmsb) = (fast.commands.get("RFMAB"), fast.commands.get("RFMSB"));
         if practical {
             assert!(rfmsb > 0, "PRACtical must recover with RFMSB");
             assert_eq!(rfmab, 0, "bank scope must never widen to the rank");
@@ -459,12 +435,10 @@ fn prac_abo_recovery_engines_agree() {
             assert!(rfmab > 0, "PRAC must recover with RFMAB");
             assert_eq!(rfmsb, 0, "rank scope must never narrow to a bank");
         }
-        assert_eq!(calendar, walk, "calendar vs frontier-walk");
-        assert_eq!(calendar, scan, "calendar vs full-scan");
-        assert_eq!(calendar, sharded, "calendar vs sharded");
-        assert_eq!(calendar_trace, walk_trace, "trace: calendar vs walk");
-        assert_eq!(calendar_trace, scan_trace, "trace: calendar vs scan");
-        assert_eq!(calendar_trace, sharded_trace, "trace: calendar vs sharded");
+        assert_eq!(fast, reference, "fast vs reference");
+        assert_eq!(fast, sharded, "fast vs sharded");
+        assert_eq!(fast_trace, reference_trace, "trace: fast vs reference");
+        assert_eq!(fast_trace, sharded_trace, "trace: fast vs sharded");
     }
 }
 

@@ -8,8 +8,9 @@
 //! translate-per-scan — the pre-cache behaviour. Because `translate` is
 //! required to be a pure lookup, a simulation run behind `Retranslate`
 //! must be *bit-identical* to the cached run; the determinism tests pin
-//! exactly that, and the benchmark harness uses the wrapper as the
-//! uncached baseline when measuring the cache's speedup.
+//! exactly that. The memory system's reference engine wraps every
+//! mitigation in it, which makes that engine the uncached baseline the
+//! benches measure the cache's speedup against.
 
 use crate::traits::{ActResponse, Mitigation, RfmAction};
 use shadow_sim::time::Cycle;
