@@ -16,13 +16,6 @@
 //!   count: every cell is an independent simulation with its own fixed
 //!   seed, and [`run_cells`] returns results in cell order regardless of
 //!   which worker finished first.
-//! * `SHADOW_BENCH_INTRA_THREADS` — opt into the *intra-run* channel-
-//!   sharded engine for every sweep cell (`SystemConfig::shard_channels`):
-//!   unset leaves it off, `0` auto-detects host CPUs, `N` asks for `N`
-//!   workers per run (clamped to the config's channel count). Results are
-//!   bit-identical at any setting; see EXPERIMENTS.md for how this knob
-//!   interacts with `SHADOW_BENCH_THREADS` (the two multiply — don't
-//!   oversubscribe with both).
 //! * `SHADOW_BENCH_WATCHDOG` — forward-progress watchdog window in
 //!   cycles for cells whose config leaves
 //!   `SystemConfig::watchdog_window` at 0 (default: off). A stalled
@@ -506,7 +499,6 @@ const ORACLE_TRACE_DEPTH: usize = 1 << 22;
 /// violation.
 pub fn run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport {
     let mut cfg = cfg;
-    apply_intra_threads(&mut cfg);
     let oracle = oracle_enabled();
     if oracle && cfg.trace_depth == 0 {
         cfg.trace_depth = ORACLE_TRACE_DEPTH;
@@ -545,9 +537,7 @@ pub fn host_cpus() -> usize {
 }
 
 /// Sweep worker threads: `SHADOW_BENCH_THREADS`, else available
-/// parallelism. An explicit `0` also means "auto-detect host CPUs" —
-/// the same convention [`SystemConfig::shard_threads`] and
-/// `SHADOW_BENCH_INTRA_THREADS` use.
+/// parallelism. An explicit `0` also means "auto-detect host CPUs".
 ///
 /// # Panics
 ///
@@ -577,35 +567,6 @@ pub fn scaling_threads() -> usize {
         host_cpus()
     } else {
         threads
-    }
-}
-
-/// The `SHADOW_BENCH_INTRA_THREADS` knob: opt every sweep run into the
-/// channel-sharded engine. `None` (unset) leaves runs serial; `Some(0)`
-/// shards with host auto-detection; `Some(n)` asks for `n` workers per
-/// run (the engine clamps to the channel count). Cells whose config
-/// already enables `shard_channels` keep their own setting.
-///
-/// # Panics
-///
-/// Panics with the variable name if the value is set but malformed.
-pub fn intra_threads() -> Option<usize> {
-    match std::env::var("SHADOW_BENCH_INTRA_THREADS") {
-        Err(_) => None,
-        Ok(raw) => Some(raw.parse().unwrap_or_else(|e| {
-            panic!("environment variable SHADOW_BENCH_INTRA_THREADS: `{raw}` did not parse: {e}")
-        })),
-    }
-}
-
-/// Applies [`intra_threads`] to a cell config (no-op when the knob is
-/// unset or the cell already opted in on its own).
-fn apply_intra_threads(cfg: &mut SystemConfig) {
-    if let Some(t) = intra_threads() {
-        if !cfg.shard_channels {
-            cfg.shard_channels = true;
-            cfg.shard_threads = t;
-        }
     }
 }
 
@@ -777,7 +738,6 @@ pub fn try_timed_run(
     mode: Engine,
 ) -> Result<CellResult, BenchError> {
     let mut cfg = cfg;
-    apply_intra_threads(&mut cfg);
     if cfg.watchdog_window == 0 {
         cfg.watchdog_window = env_parsed("SHADOW_BENCH_WATCHDOG", 0)?;
     }

@@ -91,53 +91,52 @@ fn parallel_sweep_equals_serial() {
     }
 }
 
-/// The channel-sharded engine is pure performance work too: at any worker
-/// count it must produce the byte-identical report *and* command trace of
-/// the serial engine. Exercised on the 4-channel DDR4 config with the two
-/// schemes that remap rows mid-run (a stale per-channel mitigation piece
-/// or a mis-ordered merge would diverge within one tREFI) plus the
-/// PRAC-era schemes, whose per-channel pieces carry live counter/tracker
-/// state and whose ABO recovery drain must replay identically through the
-/// sharded coordinator's record/apply split.
+/// Sweeps shard cells, not channels: each cell's whole system — its
+/// per-bank PRINCE sources and mitigation state included — runs on one
+/// [`shadow_bench::run_parallel`] worker. At any worker count that must
+/// give the byte-identical report *and* command trace of the same run on
+/// the calling thread. Exercised on the 4-channel DDR4 config with the two
+/// schemes that remap rows mid-run plus the PRAC-era schemes, whose
+/// counter/tracker state is the largest a worker carries.
 #[test]
 fn sharded_engine_equals_serial_at_any_thread_count() {
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = 2_000;
     cfg.trace_depth = 1 << 20;
-    for scheme in [
+    let schemes = [
         Scheme::Shadow,
         Scheme::Rrs,
         Scheme::Prac,
         Scheme::Practical,
         Scheme::Dapper,
-    ] {
-        let run_with = |shard_threads: Option<usize>| {
-            let mut cfg = cfg;
-            if let Some(t) = shard_threads {
-                cfg.shard_channels = true;
-                cfg.shard_threads = t;
-            }
-            let streams = shadow_bench::workload("random-stream", &cfg, 0xACE0_000D);
-            let mut sys =
-                MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
-            assert_eq!(sys.sharding_active(), shard_threads.is_some());
-            let report = sys.run();
-            (report, sys.take_trace().expect("tracing enabled"))
-        };
-        let (serial_report, serial_trace) = run_with(None);
-        for threads in [1, 2, 4] {
-            let (report, trace) = run_with(Some(threads));
+    ];
+    let run_all = |threads: usize| {
+        let jobs: Vec<_> = schemes
+            .iter()
+            .map(|&scheme| {
+                move || {
+                    let streams = shadow_bench::workload("random-stream", &cfg, 0xACE0_005D);
+                    let mut sys =
+                        MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
+                    let report = sys.run();
+                    (report, sys.take_trace().expect("tracing enabled"))
+                }
+            })
+            .collect();
+        shadow_bench::run_parallel(jobs, threads)
+    };
+    let serial = run_all(1);
+    for threads in [2, 4] {
+        let parallel = run_all(threads);
+        for (i, ((sr, st), (pr, pt))) in serial.iter().zip(&parallel).enumerate() {
+            let name = schemes[i].name();
             assert_eq!(
-                serial_report,
-                report,
-                "{} report diverged at {threads} shard worker(s)",
-                scheme.name()
+                sr, pr,
+                "{name} report diverged at {threads} sweep worker(s)"
             );
             assert_eq!(
-                serial_trace,
-                trace,
-                "{} command trace diverged at {threads} shard worker(s)",
-                scheme.name()
+                st, pt,
+                "{name} command trace diverged at {threads} sweep worker(s)"
             );
         }
     }
@@ -147,45 +146,74 @@ fn sharded_engine_equals_serial_at_any_thread_count() {
 /// calendar's lazy heap — stale entries discarded on pop, seq-counter
 /// invalidation, monotone-later couplings left unrepaired — must produce
 /// the byte-identical report *and* command trace of the reference engine.
-/// Exercised on the two schemes that remap rows mid-run, where a stale
-/// frontier event landing one cycle late would steer FR-FCFS at the first
-/// shuffle or swap, plus DAPPER, whose decrement-on-RFM tracker ties
-/// eviction state to exact RFM cycles. (PRAC/PRACtical get the same
-/// agreement check, with ABO recovery actually firing, in
+///
+/// Two inputs. The tiny config runs the two schemes that remap rows
+/// mid-run, where a stale frontier event landing one cycle late would
+/// steer FR-FCFS at the first shuffle or swap, plus DAPPER, whose
+/// decrement-on-RFM tracker ties eviction state to exact RFM cycles. The
+/// 4-channel DDR4 config adds PRAC and PRACtical and exercises the
+/// channel-ordered command merge and the cross-channel cadence fallback.
+/// (ABO recovery actually firing is pinned in
 /// `crates/memsys/tests/properties.rs::prac_abo_recovery_engines_agree` —
-/// this config's spread stream never trips a per-row counter.)
+/// these spread streams never trip a per-row counter.)
 #[test]
 fn fast_engine_equals_reference_with_traces() {
-    let mut cfg = small_cfg();
-    cfg.trace_depth = 1 << 20;
-    for scheme in [Scheme::Shadow, Scheme::Rrs, Scheme::Dapper] {
-        let run_with = |engine: Engine| {
-            let mut cfg = cfg;
-            cfg.engine = engine;
-            let streams = shadow_bench::workload("random-stream", &cfg, 0xACE0_00CA);
-            let mut sys =
-                MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
-            let report = sys.run();
-            (report, sys.take_trace().expect("tracing enabled"))
-        };
-        let (fast_report, fast_trace) = run_with(Engine::Fast);
-        let (reference_report, reference_trace) = run_with(Engine::Reference);
-        assert!(
-            fast_report.commands.get("RFM") > 0 || fast_report.channel_blocked_cycles > 0,
-            "run too small: no mid-run remaps exercised the calendar"
-        );
-        assert_eq!(
-            fast_report,
-            reference_report,
-            "fast engine diverged from reference under {}",
-            scheme.name()
-        );
-        assert_eq!(
-            fast_trace,
-            reference_trace,
-            "fast engine trace diverged from reference under {}",
-            scheme.name()
-        );
+    let mut tiny = small_cfg();
+    tiny.trace_depth = 1 << 20;
+    let mut ddr4 = SystemConfig::ddr4_actual_system();
+    ddr4.target_requests = 2_000;
+    ddr4.trace_depth = 1 << 20;
+    let inputs: [(SystemConfig, u64, &[Scheme]); 2] = [
+        (
+            tiny,
+            0xACE0_00CA,
+            &[Scheme::Shadow, Scheme::Rrs, Scheme::Dapper],
+        ),
+        (
+            ddr4,
+            0xACE0_000D,
+            &[
+                Scheme::Shadow,
+                Scheme::Rrs,
+                Scheme::Prac,
+                Scheme::Practical,
+                Scheme::Dapper,
+            ],
+        ),
+    ];
+    for (cfg, seed, schemes) in inputs {
+        let channels = cfg.geometry.channels;
+        for &scheme in schemes {
+            let run_with = |engine: Engine| {
+                let mut cfg = cfg;
+                cfg.engine = engine;
+                let streams = shadow_bench::workload("random-stream", &cfg, seed);
+                let mut sys =
+                    MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
+                let report = sys.run();
+                (report, sys.take_trace().expect("tracing enabled"))
+            };
+            let (fast_report, fast_trace) = run_with(Engine::Fast);
+            let (reference_report, reference_trace) = run_with(Engine::Reference);
+            if channels == 1 {
+                assert!(
+                    fast_report.commands.get("RFM") > 0 || fast_report.channel_blocked_cycles > 0,
+                    "run too small: no mid-run remaps exercised the calendar"
+                );
+            }
+            assert_eq!(
+                fast_report,
+                reference_report,
+                "fast engine diverged from reference under {} ({channels} channel(s))",
+                scheme.name()
+            );
+            assert_eq!(
+                fast_trace,
+                reference_trace,
+                "fast engine trace diverged from reference under {} ({channels} channel(s))",
+                scheme.name()
+            );
+        }
     }
 }
 

@@ -676,8 +676,20 @@ impl Recipe {
                 }
             };
             let requests = num_list("requests")?;
+            // `RhParams::new` asserts both axes positive, and the blast
+            // radius is a u32: reject here rather than panic or wrap in
+            // `expand`.
             let h_cnt = num_list("h_cnt")?;
-            let blast: Vec<u32> = num_list("blast")?.iter().map(|&b| b as u32).collect();
+            if h_cnt.contains(&0) {
+                return err(format!("{at}.h_cnt[]: must be positive"));
+            }
+            let blast = num_list("blast")?
+                .into_iter()
+                .map(|b| match u32::try_from(b) {
+                    Ok(b) if b > 0 => Ok(b),
+                    _ => err(format!("{at}.blast[]: must be in 1..={}", u32::MAX)),
+                })
+                .collect::<Result<Vec<u32>, _>>()?;
             let engine: Vec<Engine> = match s.get("engine") {
                 None => Vec::new(),
                 Some(v) => want_arr(v, &format!("{at}.engine"))?
@@ -1037,6 +1049,31 @@ engine = ["fast", "reference"]
         fps.sort_unstable();
         fps.dedup();
         assert_eq!(fps.len(), 4);
+    }
+
+    #[test]
+    fn zero_or_oversized_rh_axes_are_named_errors() {
+        let recipe = |line: &str| {
+            format!(
+                "[campaign]\nname = \"rh\"\n[[scenario]]\npreset = \"tiny\"\n\
+                 workloads = [\"random-stream\"]\nschemes = [\"baseline\"]\n{line}\n"
+            )
+        };
+        // Blast values above u32::MAX must not wrap (4294967297 → 1).
+        for (line, key) in [
+            ("h_cnt = [4096, 0]", "h_cnt[]"),
+            ("blast = [0]", "blast[]"),
+            ("blast = [4294967296]", "blast[]"),
+            ("blast = [4294967297]", "blast[]"),
+        ] {
+            let e = Recipe::parse(&recipe(line)).expect_err(line);
+            assert!(
+                e.0.contains(&format!("[[scenario]] #0.{key}")),
+                "{line}: {e}"
+            );
+        }
+        let r = Recipe::parse(&recipe("blast = [4294967295]")).expect("u32::MAX fits");
+        assert_eq!(r.expand()[0].cell.0.rh.blast_radius, u32::MAX);
     }
 
     #[test]

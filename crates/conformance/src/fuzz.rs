@@ -1,5 +1,5 @@
 //! Differential fuzzing: randomized (geometry, timing, workload,
-//! mitigation) cells run through four engine variants that must agree
+//! mitigation) cells run through three engine variants that must agree
 //! bit-for-bit, each with an oracle-clean command trace.
 //!
 //! The variants cover the engine's fast paths from both sides:
@@ -14,11 +14,7 @@
 //!    and row index rebuild at every lookup;
 //! 3. **reference** — [`Engine::Reference`]: the original O(total banks)
 //!    scan with no frontier memo, the linear FR-FCFS queue walk, eager
-//!    Row Hammer ledgers, and a translation per lookup;
-//! 4. **sharded** — `shard_channels` with two workers steps each channel's
-//!    scheduler slice on its own thread, synchronizing every pass (cells
-//!    with one channel exercise the serial fallback instead — also part
-//!    of the contract).
+//!    Row Hammer ledgers, and a translation per lookup.
 //!
 //! Any divergence in [`SimReport`] or in the committed command stream
 //! between variants is an engine bug; any oracle violation in any variant
@@ -127,8 +123,6 @@ pub fn gen_case(case_seed: u64) -> FuzzCase {
         trace_depth: 1 << 20,
         profile: false,
         watchdog_window: 0,
-        shard_channels: false,
-        shard_threads: 0,
     };
 
     let cores = rng.gen_range(1, 4) as usize;
@@ -163,9 +157,9 @@ fn build_streams(case: &FuzzCase) -> Vec<Box<dyn RequestStream>> {
 }
 
 /// Engine variants compared by [`run_differential`].
-const VARIANTS: [&str; 4] = ["fast", "retranslate", "reference", "sharded"];
+const VARIANTS: [&str; 3] = ["fast", "retranslate", "reference"];
 
-/// Runs one cell through all four engine variants.
+/// Runs one cell through all three engine variants.
 ///
 /// # Errors
 ///
@@ -181,13 +175,8 @@ pub fn run_differential(case: &FuzzCase) -> Result<(), String> {
         let mitigation: Box<dyn Mitigation> = match variant {
             0 => Box::new(EpochCheck::new(base)),
             1 => Box::new(Retranslate::new(base)),
-            2 => {
-                cfg.engine = Engine::Reference;
-                base
-            }
             _ => {
-                cfg.shard_channels = true;
-                cfg.shard_threads = 2;
+                cfg.engine = Engine::Reference;
                 base
             }
         };

@@ -12,9 +12,9 @@
 //!   state-machine, refresh-postponement, and DDR5 RFM/RAA violation;
 //! * [`fuzz`] — a differential fuzzer generating randomized (geometry,
 //!   timing, workload, mitigation) cells and asserting that the fast
-//!   engine, the `Retranslate`d fast engine, the reference engine, and the
-//!   channel-sharded engine produce bit-identical reports and command
-//!   streams, each oracle-clean, with `EpochCheck` policing the
+//!   engine, the `Retranslate`d fast engine, and the reference engine
+//!   produce bit-identical reports and command streams, each
+//!   oracle-clean, with `EpochCheck` policing the
 //!   remap-epoch contract the translation cache relies on.
 //!
 //! [`schemes`] carries the mitigation recipes (mirroring the bench

@@ -1,5 +1,5 @@
-//! Differential conformance sweep: randomized cells, four engine
-//! variants (fast, retranslate, reference, sharded), bit-identical
+//! Differential conformance sweep: randomized cells, three engine
+//! variants (fast, retranslate, reference), bit-identical
 //! reports and command streams, all oracle-clean.
 //!
 //! Case count honors `PROPTEST_CASES` (CI runs a reduced sweep); the
@@ -32,8 +32,9 @@ fn randomized_cells_agree_across_engine_variants() {
             scheme_seen.len() >= 5,
             "only {scheme_seen:?} covered in {cases} cells"
         );
-        // The sharded leg only parallelizes multi-channel cells; the
-        // generator must keep producing enough of them to pin it.
+        // Only multi-channel cells exercise the channel-ordered merge and
+        // the cross-channel cadence fallback; the generator must keep
+        // producing enough of them to pin both.
         assert!(
             multi_channel >= cases / 4,
             "only {multi_channel}/{cases} cells were multi-channel"

@@ -89,8 +89,6 @@ fn oracle_catches_engine_with_weakened_tfaw() {
         trace_depth: 1 << 20,
         profile: false,
         watchdog_window: 0,
-        shard_channels: false,
-        shard_threads: 0,
     };
     let streams: Vec<Box<dyn RequestStream>> = (0..4)
         .map(|i| {

@@ -1,18 +1,13 @@
-//! Pins the randomness contract the sharded engine rests on: per-bank
-//! PRINCE seed-derivation substreams occupy disjoint counter windows, so
-//! per-channel mitigation pieces (which own contiguous, channel-major bank
-//! ranges) can draw concurrently without their streams ever overlapping —
-//! and the whole-mitigation serial run draws the exact same words.
-//!
-//! Also pins the engine-selection fallback: a single-channel config with
-//! `shard_channels` set must resolve to the serial engine.
+//! Pins the per-bank randomness contract: PRINCE seed-derivation
+//! substreams of distinct banks occupy disjoint counter windows, so the
+//! words a bank draws depend only on its own seed, nonce and index. The
+//! golden digests rest on this: a channel's banks (a contiguous,
+//! channel-major range) draw the same words whatever the other channels
+//! do.
 
 use shadow_conformance::proptest_cases;
 use shadow_crypto::{substream_counter_range, PrinceRng, RandomSource, SEED_SUBSTREAM_BLOCKS};
-use shadow_memsys::{MemSystem, SystemConfig};
-use shadow_mitigations::NoMitigation;
 use shadow_sim::rng::Xoshiro256;
-use shadow_workloads::{RandomStream, RequestStream};
 
 #[test]
 fn per_channel_substream_windows_are_disjoint() {
@@ -58,23 +53,4 @@ fn per_channel_substream_windows_are_disjoint() {
             assert!(s.blocks_generated() > start && s.blocks_generated() <= end);
         }
     }
-}
-
-#[test]
-fn single_channel_config_takes_the_serial_path() {
-    let mut cfg = SystemConfig::tiny();
-    assert_eq!(cfg.geometry.channels, 1, "tiny preset is single-channel");
-    cfg.shard_channels = true;
-    cfg.shard_threads = 8;
-    let streams: Vec<Box<dyn RequestStream>> = vec![Box::new(RandomStream::new(
-        cfg.capacity_bytes().max(1 << 20),
-        1,
-    ))];
-    let mut sys = MemSystem::new(cfg, streams, Box::new(NoMitigation::new()));
-    assert!(
-        !sys.sharding_active(),
-        "one channel has nothing to shard: must fall back to serial"
-    );
-    let r = sys.run();
-    assert!(r.total_completed() >= cfg.target_requests);
 }

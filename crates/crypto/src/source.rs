@@ -13,8 +13,9 @@ use crate::prince::Prince;
 ///
 /// Implementations must be deterministic given their construction state so
 /// that security experiments are reproducible. `Send` is part of the
-/// contract: the channel-sharded simulator moves per-bank sources onto
-/// worker threads, and every implementation is plain owned data.
+/// contract: parallel sweeps run each cell's system, its sources
+/// included, on a worker thread, and every implementation is plain owned
+/// data.
 pub trait RandomSource: std::fmt::Debug + Send {
     /// Returns the next 64 bits of the stream.
     fn next_u64(&mut self) -> u64;

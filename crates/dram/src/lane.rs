@@ -3,11 +3,11 @@
 //! DRAM channels share no timing state — the data bus, CAS spacing, write
 //! turnaround, and every bank/rank constraint are all scoped to one channel.
 //! [`ChannelLane`] packages exactly that slice of [`DramDevice`]
-//! (`crate::device::DramDevice`) state so the channel-sharded simulator can
-//! move each lane onto its own worker thread and step it independently,
-//! while the serial engine iterates lanes in channel order with identical
-//! results. The device's bookkeeping (stats, history, trace) stays behind
-//! on the coordinator, which records commands in the canonical merge order.
+//! (`crate::device::DramDevice`) state so the simulator's per-channel
+//! scheduler slice can own its lane for a run and step it independently of
+//! the other channels. The device's bookkeeping (stats, history, trace)
+//! stays behind on the coordinator, which records commands in the
+//! canonical merge order.
 //!
 //! Lane methods accept *global* bank ids and flat rank indices and rebase
 //! internally; debug builds assert the argument actually belongs to the
@@ -260,7 +260,7 @@ impl ChannelLane {
     ///
     /// This is the mutation half of [`crate::device::DramDevice::issue`];
     /// the bookkeeping half (stats/history/trace) is recorded separately so
-    /// the sharded coordinator can keep one canonically ordered stream.
+    /// the coordinator can keep one canonically ordered stream.
     ///
     /// # Panics
     ///

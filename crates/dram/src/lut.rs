@@ -4,7 +4,7 @@
 //! group) far more often than they commit commands, and the geometry decode
 //! costs integer divisions. [`GeometryLut`] precomputes all three once so
 //! every consumer (the device's timing checks, the memory controller's
-//! frontier bookkeeping, the channel-sharded coordinator) shares one table
+//! frontier bookkeeping and per-channel scheduler slices) shares one table
 //! instead of growing private copies.
 
 use crate::geometry::{BankId, DramGeometry};
@@ -93,8 +93,8 @@ mod tests {
 
     #[test]
     fn channels_own_contiguous_bank_ranges() {
-        // Channel-major flattening is what makes per-channel sharding a
-        // range split; pin it here.
+        // Channel-major flattening is what gives each channel's scheduler
+        // slice a contiguous global bank range; pin it here.
         let geo = DramGeometry::ddr5_4ch();
         let lut = GeometryLut::new(&geo);
         let per_ch = geo.total_banks() / geo.channels;

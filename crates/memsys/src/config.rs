@@ -33,7 +33,7 @@ pub enum Engine {
     /// Every fast path off: the full O(total banks) scan recomputing every
     /// frontier each pass, the linear FR-FCFS queue walk, eager ledgers,
     /// and a translation per lookup (the mitigation is wrapped in
-    /// [`Retranslate`](shadow_mitigations::Retranslate)). Never sharded.
+    /// [`Retranslate`](shadow_mitigations::Retranslate)).
     Reference,
 }
 
@@ -91,25 +91,6 @@ pub struct SystemConfig {
     /// workload (compute gaps, refresh storms) — a few tREFI is a good
     /// floor.
     pub watchdog_window: Cycle,
-    /// Channel-sharded execution: step each DRAM channel's scheduler slice
-    /// on its own worker thread, synchronizing at every scheduling pass and
-    /// merging commands/completions in fixed channel order. Reports *and*
-    /// command traces are bit-identical to the serial engine (pinned by the
-    /// determinism suite and the conformance fuzzer's sharded leg). Falls
-    /// back to the serial engine when the config has a single channel, when
-    /// [`engine`](Self::engine) selects [`Engine::Reference`], or when the
-    /// mitigation cannot split per-channel state
-    /// (`Mitigation::split_channels` returns `None`); query
-    /// [`MemSystem::sharding_active`](crate::MemSystem::sharding_active)
-    /// for the resolved mode. Off in every preset.
-    pub shard_channels: bool,
-    /// Worker threads for the sharded engine: `0` (every preset's default)
-    /// auto-detects the host's available parallelism; any value is clamped
-    /// to the channel count. Ignored unless
-    /// [`shard_channels`](Self::shard_channels) resolves to the sharded
-    /// engine. The thread count never changes simulated outcomes — only
-    /// wall-clock speed.
-    pub shard_threads: usize,
 }
 
 impl SystemConfig {
@@ -130,8 +111,6 @@ impl SystemConfig {
             trace_depth: 0,
             profile: false,
             watchdog_window: 0,
-            shard_channels: false,
-            shard_threads: 0,
         }
     }
 
@@ -151,8 +130,6 @@ impl SystemConfig {
             trace_depth: 0,
             profile: false,
             watchdog_window: 0,
-            shard_channels: false,
-            shard_threads: 0,
         }
     }
 
@@ -172,8 +149,6 @@ impl SystemConfig {
             trace_depth: 0,
             profile: false,
             watchdog_window: 0,
-            shard_channels: false,
-            shard_threads: 0,
         }
     }
 

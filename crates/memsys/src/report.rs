@@ -47,13 +47,12 @@ pub struct SimReport {
     /// issued a command (at most one per channel per cycle, so this is both
     /// a command count and a busy-cycle count). Indexed by channel; the
     /// utilization view behind [`channel_busy_shares`]
-    /// (Self::channel_busy_shares) and the sharded engine's load-balance
-    /// diagnostics.
+    /// (Self::channel_busy_shares).
     pub channel_busy_cycles: Vec<u64>,
     /// Scheduling passes the run loop executed. Engine diagnostics, not
     /// simulation state: the count depends on which engine ran (the
-    /// sharded coordinator and the serial loop pace passes differently),
-    /// so it is excluded from `PartialEq` like [`profile`](Self::profile).
+    /// reference engine repeats same-cycle passes the fast one skips), so
+    /// it is excluded from `PartialEq` like [`profile`](Self::profile).
     pub sched_passes: u64,
     /// Distinct cycles at which at least one scheduling pass ran. With
     /// [`cycles`](Self::cycles) this yields the skipped-cycle ratio
@@ -261,8 +260,8 @@ mod tests {
 
     #[test]
     fn pass_counters_are_ignored_by_equality() {
-        // Pass pacing differs between the serial and sharded coordinators;
-        // the counters are diagnostics and must not break bit-identity.
+        // Pass pacing differs between the fast and reference engines; the
+        // counters are diagnostics and must not break bit-identity.
         let a = report(vec![10], 100);
         let mut b = a.clone();
         b.sched_passes = 42;

@@ -1,18 +1,12 @@
 //! [`ChannelShard`]: one DRAM channel's slice of the memory controller.
 //!
-//! DRAM channels share no timing state, and — after the per-bank RNG
-//! substream rework in `shadow-mitigations` — no mitigation state either.
-//! Everything the scheduler owns per channel (bank queues, Row Hammer
-//! ledgers, RAA counters, the frontier memo, the channel's
-//! [`ChannelLane`]) therefore lives in a [`ChannelShard`] that can step one
-//! scheduling pass independently of its siblings.
-//!
-//! The serial engine iterates shards in ascending channel order on one
-//! thread; the sharded engine runs the *same* shard code on persistent
-//! worker threads, synchronizing at every pass. Either way the coordinator
-//! (`crate::system::MemSystem`) merges each pass's results in fixed channel
-//! order, so the two modes produce bit-identical reports and command
-//! traces.
+//! DRAM channels share no timing state. Everything the scheduler owns per
+//! channel (bank queues, Row Hammer ledgers, RAA counters, the frontier
+//! memo, the channel's [`ChannelLane`]) therefore lives in a
+//! [`ChannelShard`] that steps one scheduling pass independently of its
+//! siblings. The coordinator (`crate::system::MemSystem`) runs the shards
+//! in ascending channel order on one thread and merges each pass's
+//! results in fixed channel order.
 //!
 //! The merge stays cheap because of a proven invariant: **a channel issues
 //! at most one command per cycle.** Every issue path checks the channel's
@@ -22,9 +16,8 @@
 //! buffer.
 //!
 //! Bank indices inside a shard are channel-local (`0..banks`); the
-//! mitigation may be the *whole* scheme (serial mode — indices offset by
-//! `moff`, the shard's global bank base) or a per-channel piece from
-//! [`Mitigation::split_channels`] (sharded mode — `moff == 0`).
+//! mitigation is always the whole scheme, so the shard hands it the global
+//! index `bank_base + local`.
 //!
 //! # Scheduling engines
 //!
@@ -104,10 +97,9 @@ pub(crate) struct QueuedReq {
     /// The translated DA row, valid while the bank sits at `cached_epoch`.
     pub cached_da: u32,
     /// The bank's remap epoch when `cached_da` was computed ([`NO_EPOCH`]
-    /// until first use — admission happens on the coordinator, which in
-    /// sharded mode has no mitigation to consult, so translation is
-    /// deferred to the owning shard; `Mitigation::translate` is a pure
-    /// lookup, so the value is identical either way).
+    /// until first use — admission does not translate, and
+    /// `Mitigation::translate` is a pure lookup, so deferring it changes no
+    /// value).
     pub cached_epoch: u64,
 }
 
@@ -137,9 +129,9 @@ impl QueuedReq {
 /// per-request translation cache: a map built at epoch `e` is exact while
 /// the mitigation reports `e` (translate is contractually pure), and a
 /// remap bump ages it out by key mismatch on the next lookup. Admissions
-/// mark it dirty wholesale ([`NO_EPOCH`]) — translation is deferred to
-/// the owning shard, so the admitting coordinator cannot extend the map —
-/// and the CAS dequeue path pops the served seq from its bucket. The
+/// mark it dirty wholesale ([`NO_EPOCH`]) — admission does not translate,
+/// so it cannot extend the map — and the CAS dequeue path pops the served
+/// seq from its bucket. The
 /// reference engine never builds the index, keeping the original linear
 /// scan alive for the differential fuzzer's reference leg.
 #[derive(Debug)]
@@ -267,14 +259,12 @@ pub(crate) struct ShardReply {
     /// The command this channel issued, tagged with the phase that issued
     /// it (`true` = refresh engine, `false` = scheduler). The coordinator
     /// replays all refresh-phase commands in channel order, then all
-    /// scheduler-phase commands in channel order — exactly the serial
-    /// engine's global refresh-loop-then-scheduling-scan order.
+    /// scheduler-phase commands in channel order — the global
+    /// refresh-loop-then-scheduling-scan order.
     pub cmd: Option<(bool, DramCommand)>,
     /// CAS completion to deliver: (data-done cycle, core index). `None` for
     /// posted writes (their completion was scheduled at admission).
     pub completion: Option<(Cycle, usize)>,
-    /// Requests still queued in this shard after the pass (watchdog input).
-    pub queued: usize,
 }
 
 /// One channel's scheduler slice. See the module docs.
@@ -489,11 +479,6 @@ impl ChannelShard {
         }
     }
 
-    /// Global id of this shard's first bank.
-    pub fn bank_base(&self) -> usize {
-        self.bank_base
-    }
-
     /// Arms the Alert Back-Off flow with the mitigation's contract.
     /// Called once at system assembly, before any traffic.
     pub fn set_abo(&mut self, abo: Option<AboSpec>) {
@@ -551,11 +536,10 @@ impl ChannelShard {
     pub fn admit(&mut self, local: usize, mut req: QueuedReq) {
         req.seq = self.next_seq[local];
         self.next_seq[local] += 1;
-        // Admission happens on the coordinator side with no mitigation in
-        // reach (sharded mode), so the row index cannot be extended here —
-        // mark it dirty; the next hit lookup rebuilds it in one pass over
-        // the queue (amortized: one translation per queued request, the
-        // same work a single linear scan did every visit).
+        // Admission does not translate, so the row index cannot be
+        // extended here — mark it dirty; the next hit lookup rebuilds it in
+        // one pass over the queue (amortized: one translation per queued
+        // request, the same work a single linear scan did every visit).
         self.row_index[local].epoch = NO_EPOCH;
         self.queues[local].push_back(req);
         self.active.insert(local);
@@ -688,30 +672,22 @@ impl ChannelShard {
         self.issued.take()
     }
 
-    /// One scheduling pass for this channel at `now`: drains `admits`
-    /// (local bank, request) pairs, runs the refresh engine over the
-    /// channel's ranks, then the FR-FCFS scheduling scan over its active
-    /// banks. The mitigation sees bank index `moff + local` — the whole
-    /// scheme with `moff = bank_base` (serial), or this channel's piece
-    /// with `moff = 0` (sharded).
-    pub fn pass(
-        &mut self,
-        now: Cycle,
-        admits: &mut Vec<(usize, QueuedReq)>,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) -> ShardReply {
+    /// One scheduling pass for this channel at `now`: runs the refresh
+    /// engine over the channel's ranks, then the FR-FCFS scheduling scan
+    /// over its active banks. Admissions for this cycle must already be in
+    /// ([`admit`](Self::admit)). The mitigation sees bank index
+    /// `bank_base + local`.
+    pub fn pass(&mut self, now: Cycle, mit: &mut AnyMitigation) -> ShardReply {
         // Shard-level skip (calendar engine): when the last `next_min`
         // proved every bank event lies beyond `now`, no consult is armed,
         // nothing needs per-pass examination (`skip_ok`), no admission
-        // arrived, and the refresh phase provably cannot act before
+        // arrived (an admission clears `cache_clean`), and the refresh phase provably cannot act before
         // `refresh_wake` (exact and fresh under `cache_clean`), the pass
         // is provably a no-op: every bank visit would take the
         // frontier-gate skip and the refresh engine would not fire.
         // Skipping it wholesale is therefore exact, and the cache stays
         // clean for `next_min` to reuse.
         if self.engine == Engine::Fast
-            && admits.is_empty()
             && self.cache_clean
             && self.skip_ok
             && self.cached_next > now
@@ -722,14 +698,10 @@ impl ChannelShard {
                 progressed: false,
                 cmd: None,
                 completion: None,
-                queued: self.queued,
             };
         }
         self.cache_clean = false;
-        let mut progressed = !admits.is_empty();
-        for (local, req) in admits.drain(..) {
-            self.admit(local, req);
-        }
+        let mut progressed = false;
 
         // Refresh engine: one REF attempt per due rank. JEDEC permits
         // postponing up to 8 REFs, so refresh is opportunistic (fires when
@@ -796,7 +768,7 @@ impl ChannelShard {
         // RFMAB mirrors REF (all banks of the rank precharged, urgent PREs
         // drain open rows); RFMSB mirrors RFM (only its bank precharged).
         if self.issued.is_none() && self.recovery_pending() {
-            self.recovery_drain(now, mit, moff, &mut progressed);
+            self.recovery_drain(now, mit, &mut progressed);
         }
         let refresh_cmd = self.take_issued();
 
@@ -823,9 +795,9 @@ impl ChannelShard {
         match self.engine {
             Engine::Reference => {
                 self.active.insert_all();
-                self.pass_scan(now, mit, moff, &mut progressed);
+                self.pass_scan(now, mit, &mut progressed);
             }
-            Engine::Fast => self.pass_calendar(now, mit, moff, &mut progressed),
+            Engine::Fast => self.pass_calendar(now, mit, &mut progressed),
         }
         sched.stop(&mut self.profile, Phase::Schedule);
         let sched_cmd = self.take_issued();
@@ -836,7 +808,6 @@ impl ChannelShard {
                 .map(|c| (true, c))
                 .or(sched_cmd.map(|c| (false, c))),
             completion: self.pending_completion.take(),
-            queued: self.queued,
         }
     }
 
@@ -848,13 +819,7 @@ impl ChannelShard {
     /// ascending banks with RFMSB. Runs identically under both engines
     /// (it precedes engine dispatch and reads only committed state), which
     /// keeps the differential fuzzer's variants bit-identical.
-    fn recovery_drain(
-        &mut self,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-        progressed: &mut bool,
-    ) {
+    fn recovery_drain(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
         if self.cmd_ready > now || self.block_until > now {
             return;
         }
@@ -892,7 +857,7 @@ impl ChannelShard {
                 for b in 0..self.bpr {
                     let local = lr * self.bpr + b;
                     let t = PhaseTimer::start(&mut self.profile);
-                    let action = mit.on_recovery_rfm(moff + local);
+                    let action = mit.on_recovery_rfm(self.bank_base + local);
                     t.stop(&mut self.profile, Phase::Rng);
                     let t = PhaseTimer::start(&mut self.profile);
                     Self::apply_mitigation_work(
@@ -929,7 +894,7 @@ impl ChannelShard {
                 self.recovery_due_bank[local] -= 1;
                 self.abo_recovery_cycles += self.timing.t_rfm;
                 let t = PhaseTimer::start(&mut self.profile);
-                let action = mit.on_recovery_rfm(moff + local);
+                let action = mit.on_recovery_rfm(self.bank_base + local);
                 t.stop(&mut self.profile, Phase::Rng);
                 let t = PhaseTimer::start(&mut self.profile);
                 Self::apply_mitigation_work(
@@ -949,19 +914,13 @@ impl ChannelShard {
     /// ascending order through the full `schedule_bank` decision tree.
     /// Iterating a snapshot of each bitmask word keeps the scan stable
     /// while banks deactivate themselves.
-    fn pass_scan(
-        &mut self,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-        progressed: &mut bool,
-    ) {
+    fn pass_scan(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
         for w in 0..self.active.words() {
             let mut bits = self.active.word(w);
             while bits != 0 {
                 let local = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.schedule_bank(local, now, mit, moff) {
+                if self.schedule_bank(local, now, mit) {
                     *progressed = true;
                 }
                 if self.queues[local].is_empty()
@@ -984,13 +943,7 @@ impl ChannelShard {
     /// `pending` pool (the two are disjoint by construction). Every bank
     /// the reference scan visits beyond these provably issues nothing and
     /// changes nothing.
-    fn pass_calendar(
-        &mut self,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-        progressed: &mut bool,
-    ) {
+    fn pass_calendar(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
         // Shard-global bus gate, hoisted: with the command bus claimed at
         // pass entry `schedule_bank` returns at its first check for every
         // bank, so no visit can issue or consult and the whole pass is
@@ -1019,18 +972,18 @@ impl ChannelShard {
                 let local = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 while di < due.len() && due[di] < local {
-                    self.visit_fired(due[di], now, mit, moff, progressed);
+                    self.visit_fired(due[di], now, mit, progressed);
                     di += 1;
                 }
                 debug_assert!(
                     di >= due.len() || due[di] != local,
                     "bank both pending and live in the calendar"
                 );
-                self.visit_pending(local, now, mit, moff, progressed);
+                self.visit_pending(local, now, mit, progressed);
             }
         }
         while di < due.len() {
-            self.visit_fired(due[di], now, mit, moff, progressed);
+            self.visit_fired(due[di], now, mit, progressed);
             di += 1;
         }
         due.clear();
@@ -1048,7 +1001,6 @@ impl ChannelShard {
         local: usize,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
@@ -1079,7 +1031,7 @@ impl ChannelShard {
         let lr = local / self.bpr;
         if self.rank_closed[lr] || self.recovery_due_bank[local] > 0 {
             self.rank_gate_skips[lr] += 1;
-        } else if self.schedule_bank(local, now, mit, moff) {
+        } else if self.schedule_bank(local, now, mit) {
             *progressed = true;
         }
         self.dispose(local);
@@ -1093,7 +1045,6 @@ impl ChannelShard {
         local: usize,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
@@ -1122,7 +1073,7 @@ impl ChannelShard {
         let lr = local / self.bpr;
         if self.rank_closed[lr] || self.recovery_due_bank[local] > 0 {
             self.rank_gate_skips[lr] += 1;
-        } else if self.schedule_bank(local, now, mit, moff) {
+        } else if self.schedule_bank(local, now, mit) {
             *progressed = true;
         }
         self.dispose(local);
@@ -1155,17 +1106,11 @@ impl ChannelShard {
     /// the monomorphized body: the profiler-off instantiation carries
     /// zero timer calls on the hot path.
     #[inline]
-    fn schedule_bank(
-        &mut self,
-        local: usize,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) -> bool {
+    fn schedule_bank(&mut self, local: usize, now: Cycle, mit: &mut AnyMitigation) -> bool {
         if self.profile.is_some() {
-            self.schedule_bank_impl::<true>(local, now, mit, moff)
+            self.schedule_bank_impl::<true>(local, now, mit)
         } else {
-            self.schedule_bank_impl::<false>(local, now, mit, moff)
+            self.schedule_bank_impl::<false>(local, now, mit)
         }
     }
 
@@ -1174,11 +1119,10 @@ impl ChannelShard {
         local: usize,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
     ) -> bool {
         let bank = self.gbank(local);
         let lbank = BankId(local as u32);
-        let mit_bank = moff + local;
+        let mit_bank = self.bank_base + local;
         if self.cmd_ready > now || self.block_until > now {
             return false;
         }
@@ -1438,7 +1382,6 @@ impl ChannelShard {
         local: usize,
         needs_rfm: bool,
         mit: &mut AnyMitigation,
-        moff: usize,
     ) -> (Cycle, Cycle, FrontierScope) {
         let bank = self.gbank(local);
         if needs_rfm {
@@ -1453,7 +1396,7 @@ impl ChannelShard {
                 )
             }
         } else if let Some(open_da) = self.lane().open_row(bank) {
-            let mit_bank = moff + local;
+            let mit_bank = self.bank_base + local;
             let epoch = mit.remap_epoch(mit_bank);
             let tr = PhaseTimer::start(&mut self.profile);
             let has_hit = if self.engine == Engine::Reference {
@@ -1510,14 +1453,8 @@ impl ChannelShard {
     }
 
     /// Recomputes and stores local bank `local`'s frontier memo.
-    fn refresh_slot(
-        &mut self,
-        local: usize,
-        needs_rfm: bool,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) {
-        let (raw, intrinsic, scope) = self.bank_frontier_raw(local, needs_rfm, mit, moff);
+    fn refresh_slot(&mut self, local: usize, needs_rfm: bool, mit: &mut AnyMitigation) {
+        let (raw, intrinsic, scope) = self.bank_frontier_raw(local, needs_rfm, mit);
         // The O(1) revalidation identity: the coupled state enters every
         // lane `earliest_*` purely as a floor over the bank-scoped part.
         debug_assert_eq!(raw, intrinsic.max(self.slot_floor(scope, local)));
@@ -1563,7 +1500,7 @@ impl ChannelShard {
     /// over its active banks' frontiers (memoized) and its ranks' refresh
     /// deadlines. Unclamped — the coordinator applies `max(now + 1)` after
     /// folding in completions and core eligibility.
-    pub fn next_min(&mut self, now: Cycle, mit: &mut AnyMitigation, moff: usize) -> Cycle {
+    pub fn next_min(&mut self, now: Cycle, mit: &mut AnyMitigation) -> Cycle {
         // Cache reuse (calendar engine): every input — the memoized raws,
         // the bus floor, the refresh deadlines — is committed shard state,
         // untouched since the skipped pass, and the tREFI probe lands on
@@ -1595,7 +1532,7 @@ impl ChannelShard {
                         if self.queues[local].is_empty() && !needs_rfm {
                             continue;
                         }
-                        let raw = self.bank_frontier_raw(local, needs_rfm, mit, moff).0;
+                        let raw = self.bank_frontier_raw(local, needs_rfm, mit).0;
                         next = next.min(raw.max(floor));
                     }
                 }
@@ -1622,7 +1559,7 @@ impl ChannelShard {
                             continue;
                         }
                         if !self.slot_valid(local) && !self.revalidate_coupled(local) {
-                            self.refresh_slot(local, needs_rfm, mit, moff);
+                            self.refresh_slot(local, needs_rfm, mit);
                         }
                         let slot = self.frontier[local];
                         // An armed consult fires at the next visited pass
@@ -1651,7 +1588,7 @@ impl ChannelShard {
                     }
                     if !self.revalidate_coupled(local) {
                         let needs_rfm = self.needs_rfm(local);
-                        self.refresh_slot(local, needs_rfm, mit, moff);
+                        self.refresh_slot(local, needs_rfm, mit);
                     }
                     let slot = self.frontier[local];
                     if slot.consult_pending {
@@ -1895,7 +1832,6 @@ mod tests {
         // recovery all participate.
         let horizon: Cycle = TimingParams::tiny().t_refi * 6;
         let (mut acts, mut cas, mut refs) = (0u64, 0u64, 0u64);
-        let mut admits: Vec<Vec<(usize, QueuedReq)>> = vec![Vec::new(); 2];
         while now < horizon {
             if rng.gen_bool(0.4) {
                 for _ in 0..rng.gen_range(1, 4) {
@@ -1911,21 +1847,20 @@ mod tests {
                         seq: 0,
                     };
                     let local = rng.gen_index(banks);
-                    for a in admits.iter_mut() {
-                        a.push((local, req.clone()));
+                    for s in shards.iter_mut() {
+                        s.admit(local, req.clone());
                     }
                 }
             }
-            let replies: Vec<ShardReply> = shards
-                .iter_mut()
-                .zip(admits.iter_mut())
-                .map(|(s, a)| s.pass(now, a, &mut mit, 0))
-                .collect();
+            let replies: Vec<ShardReply> =
+                shards.iter_mut().map(|s| s.pass(now, &mut mit)).collect();
             for r in &replies[1..] {
                 assert_eq!(r.progressed, replies[0].progressed, "seed {seed} @ {now}");
                 assert_eq!(r.cmd, replies[0].cmd, "seed {seed} @ {now}");
                 assert_eq!(r.completion, replies[0].completion, "seed {seed} @ {now}");
-                assert_eq!(r.queued, replies[0].queued, "seed {seed} @ {now}");
+            }
+            for s in &shards[1..] {
+                assert_eq!(s.queued(), shards[0].queued(), "seed {seed} @ {now}");
             }
             match replies[0].cmd {
                 Some((_, DramCommand::Act { .. })) => acts += 1,
@@ -1935,7 +1870,7 @@ mod tests {
             }
             let mins: Vec<Cycle> = shards
                 .iter_mut()
-                .map(|s| s.next_min(now, &mut mit, 0))
+                .map(|s| s.next_min(now, &mut mit))
                 .collect();
             // The calendar's exact refresh wake may legitimately exceed
             // the scan's conservative pin — but never undercut it, and the
@@ -2008,11 +1943,10 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(0xD15_701);
         let banks = twin_geometry().total_banks() as usize;
         let rows = twin_geometry().rows_per_bank();
-        let mut admits = Vec::new();
         let mut now = 0;
         for _ in 0..400 {
             if rng.gen_bool(0.5) {
-                admits.push((
+                shard.admit(
                     rng.gen_index(banks),
                     QueuedReq {
                         core: 0,
@@ -2025,10 +1959,10 @@ mod tests {
                         cached_epoch: NO_EPOCH,
                         seq: 0,
                     },
-                ));
+                );
             }
-            shard.pass(now, &mut admits, &mut mit, 0);
-            let next = shard.next_min(now, &mut mit, 0);
+            shard.pass(now, &mut mit);
+            let next = shard.next_min(now, &mut mit);
             for local in 0..banks {
                 assert!(
                     !shard.pending.contains(local) || shard.active.contains(local),

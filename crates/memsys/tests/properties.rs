@@ -267,14 +267,14 @@ fn deterministic_under_any_knobs() {
 /// Deterministic replay of conformance fuzz cell 56 (`gen_case(0xC0DE_0038)`,
 /// the PR6 calendar legacy-cadence fallback case): RRS under a Closed page
 /// policy on two single-rank channels. RRS consults the mitigation on every
-/// closed-bank activation, so calendar shards keep reporting `!skip_ok` and
+/// closed-bank activation, so channel shards keep reporting `!skip_ok` and
 /// the coordinator must fall back to the legacy crawl cadence (the min of
 /// the per-shard conservative bounds) instead of the exact refresh wake.
 /// The case is checked in by value — geometry, timing, streams, and the
 /// RRS recipe all pinned — so it survives any future reshuffle of the
 /// fuzzer's scheme table or seed mapping. The property is the one the
-/// fuzzer asserted: the fast engine, the reference engine, and the 2-worker
-/// sharded coordinator stay bit-identical in both report and command trace.
+/// fuzzer asserted: the fast engine and the reference engine stay
+/// bit-identical in both report and command trace.
 #[test]
 fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     let mut cfg = SystemConfig::tiny();
@@ -360,10 +360,6 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     };
     let (fast, fast_trace) = run_variant(&|_| {});
     let (reference, reference_trace) = run_variant(&|c| c.engine = Engine::Reference);
-    let (sharded, sharded_trace) = run_variant(&|c| {
-        c.shard_channels = true;
-        c.shard_threads = 2;
-    });
 
     assert!(fast.total_completed() >= cfg.target_requests);
     assert!(
@@ -371,9 +367,7 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
         "case no longer exercises refresh"
     );
     assert_eq!(fast, reference, "fast vs reference");
-    assert_eq!(fast, sharded, "fast vs sharded");
     assert_eq!(fast_trace, reference_trace, "trace: fast vs reference");
-    assert_eq!(fast_trace, sharded_trace, "trace: fast vs sharded");
 }
 
 /// PRAC's Alert Back-Off recovery, end to end: an aggressive threshold on
@@ -381,9 +375,8 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
 /// debt at the ACT-issue point, and the drain issues RFMAB (rank scope,
 /// `PRAC`) or RFMSB (bank scope, `PRACtical`) before normal traffic
 /// resumes. The recovery path rides the refresh-phase command slot and
-/// reads only committed state, so both serial engines and the
-/// 2-worker sharded coordinator must stay bit-identical in both report
-/// and command trace — the same contract the conformance fuzzer enforces,
+/// reads only committed state, so both engines must stay bit-identical
+/// in both report and command trace — the same contract the conformance fuzzer enforces,
 /// pinned here at memsys level with the scope split asserted explicitly.
 #[test]
 fn prac_abo_recovery_engines_agree() {
@@ -419,10 +412,6 @@ fn prac_abo_recovery_engines_agree() {
         };
         let (fast, fast_trace) = run_variant(&|_| {});
         let (reference, reference_trace) = run_variant(&|c| c.engine = Engine::Reference);
-        let (sharded, sharded_trace) = run_variant(&|c| {
-            c.shard_channels = true;
-            c.shard_threads = 2;
-        });
 
         assert!(fast.total_completed() >= cfg.target_requests);
         assert!(fast.abo_events > 0, "threshold never crossed");
@@ -436,9 +425,7 @@ fn prac_abo_recovery_engines_agree() {
             assert_eq!(rfmsb, 0, "rank scope must never narrow to a bank");
         }
         assert_eq!(fast, reference, "fast vs reference");
-        assert_eq!(fast, sharded, "fast vs sharded");
         assert_eq!(fast_trace, reference_trace, "trace: fast vs reference");
-        assert_eq!(fast_trace, sharded_trace, "trace: fast vs sharded");
     }
 }
 

@@ -105,33 +105,6 @@ impl Mitigation for BlockHammer {
             ActResponse::default()
         }
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.filters.len() != channels * banks_per_channel {
-            return None;
-        }
-        let mut filters = std::mem::take(&mut self.filters).into_iter();
-        let mut rotations = std::mem::take(&mut self.last_rotation).into_iter();
-        let (n_bl, throttle, period) = (self.n_bl, self.throttle_cycles, self.rotation_period);
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(BlockHammer {
-                        filters: filters.by_ref().take(banks_per_channel).collect(),
-                        n_bl,
-                        throttle_cycles: throttle,
-                        rotation_period: period,
-                        last_rotation: rotations.by_ref().take(banks_per_channel).collect(),
-                        throttled_acts: 0,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

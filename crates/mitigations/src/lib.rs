@@ -97,9 +97,10 @@ pub enum SeedDomain {
 ///
 /// One PRINCE-CTR block from the bank's reserved counter window
 /// ([`shadow_crypto::substream_counter_range`]) keys the bank's fast
-/// generator. Distinct banks — and therefore distinct channels, which own
-/// disjoint bank ranges — consume disjoint PRINCE counter ranges, so a
-/// scheme split per channel draws exactly what the whole scheme would.
+/// generator. Distinct banks consume disjoint PRINCE counter ranges, so a
+/// bank's draws do not depend on how ACTs interleave across banks. This
+/// per-bank RNG model is part of every simulated outcome: the benchmark's
+/// golden report digests pin it.
 pub fn bank_stream_seed(seed: u64, domain: SeedDomain, global_bank: usize) -> u64 {
     use shadow_crypto::RandomSource;
     let k1 = match domain {

@@ -17,18 +17,6 @@ impl Mitigation for NoMitigation {
     fn name(&self) -> &'static str {
         "Baseline"
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        _banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        Some(
-            (0..channels)
-                .map(|_| Box::new(NoMitigation) as Box<dyn Mitigation>)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,7 @@ use shadow_trackers::ReservoirSampler;
 ///
 /// Reservoir draws come from per-bank RNG substreams (disjoint PRINCE
 /// counter windows, [`crate::bank_stream_seed`]) so each bank's sampling
-/// sequence is independent of cross-bank ACT interleaving — the property
-/// that lets the channel-sharded engine split PARFM exactly.
+/// sequence is independent of cross-bank ACT interleaving.
 #[derive(Debug)]
 pub struct Parfm {
     samplers: Vec<ReservoirSampler>,
@@ -96,34 +95,6 @@ impl Mitigation for Parfm {
     fn raaimt(&self) -> Option<u32> {
         Some(self.raaimt)
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.samplers.len() != channels * banks_per_channel {
-            return None;
-        }
-        // Chunk the per-bank state; global bank order is channel-major, so
-        // channel c takes banks [c*bpc, (c+1)*bpc) with their substreams.
-        let (rh, rows, raaimt) = (self.rh, self.rows_per_subarray, self.raaimt);
-        let mut samplers = std::mem::take(&mut self.samplers).into_iter();
-        let mut rngs = std::mem::take(&mut self.rngs).into_iter();
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(Parfm {
-                        samplers: samplers.by_ref().take(banks_per_channel).collect(),
-                        rngs: rngs.by_ref().take(banks_per_channel).collect(),
-                        rh,
-                        rows_per_subarray: rows,
-                        raaimt,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -163,29 +134,6 @@ mod tests {
         let r3 = Parfm::raaimt_for(4096, 3);
         let r5 = Parfm::raaimt_for(4096, 5);
         assert!(r1 > r3 && r3 > r5, "{r1} {r3} {r5}");
-    }
-
-    #[test]
-    fn split_pieces_mirror_whole_scheme() {
-        let mut whole = Parfm::new(8, RhParams::new(4096, 2), 64, 9);
-        let mut pieces = Parfm::new(8, RhParams::new(4096, 2), 64, 9)
-            .split_channels(2, 4)
-            .expect("PARFM splits");
-        for i in 0..300u32 {
-            let bank = (i as usize * 5) % 8;
-            let (ch, local) = (bank / 4, bank % 4);
-            whole.on_activate(bank, i, 0);
-            pieces[ch].on_activate(local, i, 0);
-            if i % 37 == 0 {
-                assert_eq!(whole.on_rfm(bank), pieces[ch].on_rfm(local), "act {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_requires_matching_bank_count() {
-        let mut m = Parfm::new(6, RhParams::new(4096, 2), 64, 9);
-        assert!(m.split_channels(4, 2).is_none());
     }
 
     #[test]

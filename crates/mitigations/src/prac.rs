@@ -16,8 +16,7 @@
 //! siblings, which is where PRAC loses most of its performance.
 //!
 //! Both schemes are deterministic and RNG-free: per-bank per-row counters
-//! with no cross-channel state, so [`Mitigation::split_channels`] is plain
-//! chunking and the sharded engine stays bit-identical to serial.
+//! with no cross-channel state.
 
 use crate::traits::{AboScope, AboSpec, Mitigation, RfmAction};
 use crate::victims_of;
@@ -42,7 +41,6 @@ pub struct Prac {
     rfms_per_alert: u32,
     blast_radius: u32,
     rows_per_subarray: u32,
-    rows_per_bank: u32,
     /// Per-bank per-DA-row activation counters (they live in the rows, so
     /// they count committed ACTs, not controller-side consults).
     counters: Vec<Vec<u32>>,
@@ -89,7 +87,6 @@ impl Prac {
             rfms_per_alert: 2,
             blast_radius: rh.blast_radius,
             rows_per_subarray,
-            rows_per_bank,
             counters: vec![vec![0; rows_per_bank as usize]; banks],
             alerted: vec![VecDeque::new(); banks],
             alerts: 0,
@@ -161,35 +158,6 @@ impl Mitigation for Prac {
             PracMode::Practical => 0,
         }
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.counters.len() != channels * banks_per_channel {
-            return None;
-        }
-        let mut counters = std::mem::take(&mut self.counters).into_iter();
-        let mut alerted = std::mem::take(&mut self.alerted).into_iter();
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(Prac {
-                        mode: self.mode,
-                        threshold: self.threshold,
-                        rfms_per_alert: self.rfms_per_alert,
-                        blast_radius: self.blast_radius,
-                        rows_per_subarray: self.rows_per_subarray,
-                        rows_per_bank: self.rows_per_bank,
-                        counters: counters.by_ref().take(banks_per_channel).collect(),
-                        alerted: alerted.by_ref().take(banks_per_channel).collect(),
-                        alerts: 0,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -238,23 +206,6 @@ mod tests {
         assert_eq!(p.name(), "PRAC");
         assert_eq!(q.name(), "PRACtical");
         assert!(!p.uses_rfm(), "ABO flow, not the RAA/RFM interface");
-    }
-
-    #[test]
-    fn split_is_exact_per_bank_chunking() {
-        let mut whole = Prac::new(4, 64, 16, RhParams::new(64, 1));
-        let th = whole.abo().unwrap().threshold;
-        let mut split_src = Prac::new(4, 64, 16, RhParams::new(64, 1));
-        let mut pieces = split_src.split_channels(2, 2).unwrap();
-        // Global bank 3 == channel 1, local bank 1.
-        for _ in 0..th {
-            whole.on_act_issued(3, 7);
-            pieces[1].on_act_issued(1, 7);
-        }
-        assert_eq!(
-            whole.on_recovery_rfm(3).refreshes,
-            pieces[1].on_recovery_rfm(1).refreshes
-        );
     }
 
     #[test]

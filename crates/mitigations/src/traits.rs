@@ -73,9 +73,9 @@ pub struct AboSpec {
 ///
 /// `bank` arguments are flat bank indices (`0..banks`); `pa_row` / returned
 /// rows are bank-relative. Implementations must be deterministic given
-/// their construction-time RNG seeds. `Send` is part of the contract: the
-/// channel-sharded simulator moves per-channel mitigation pieces onto scoped
-/// worker threads, and every scheme is plain owned data. `Any` is too: the
+/// their construction-time RNG seeds. `Send` is part of the contract:
+/// parallel sweeps build and run each cell's system on a worker thread,
+/// and every scheme is plain owned data. `Any` is too: the
 /// simulator devirtualizes `Box<dyn Mitigation>` into the
 /// [`AnyMitigation`](crate::AnyMitigation) enum by type id, so the hot
 /// translate/activate path monomorphizes over the built-in schemes; every
@@ -202,20 +202,9 @@ pub trait Mitigation: std::fmt::Debug + Send + std::any::Any {
 
     /// Splits this scheme into `channels` independent per-channel pieces.
     ///
-    /// Channel `c` owns the flat bank range `[c * banks_per_channel,
-    /// (c + 1) * banks_per_channel)`. Each returned piece answers the bank
-    /// arguments of every `Mitigation` method in *channel-local* indices
-    /// (`0..banks_per_channel`); internally it must behave exactly as the
-    /// whole scheme would for the corresponding global bank — the sharded
-    /// engine is only bit-identical to the serial one if the split is exact.
-    ///
-    /// Called at most once, before any traffic is observed, so pieces start
-    /// from construction state. Drains `self`: after a successful split the
-    /// whole scheme keeps answering the stateless queries (`name`,
-    /// `uses_rfm`, `raaimt`, ...) but must no longer be used for traffic.
-    ///
-    /// The default `None` opts out; schemes with cross-channel state (or
-    /// wrappers that cannot see through their inner scheme) stay serial.
+    /// Retained for API compatibility only: the engine runs every channel
+    /// against the whole scheme on one thread and never calls this. No
+    /// in-tree scheme overrides the default `None`.
     fn split_channels(
         &mut self,
         _channels: usize,
@@ -284,14 +273,6 @@ impl<M: Mitigation + ?Sized> Mitigation for Box<M> {
 
     fn tracker_evictions(&self) -> u64 {
         (**self).tracker_evictions()
-    }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        (**self).split_channels(channels, banks_per_channel)
     }
 }
 
