@@ -3,40 +3,22 @@
 //! SPEC CPU2017 groups, multi-threaded GAPBS/NPB, and multiprogrammed
 //! mixes (actual-system substitute; DDR4-2666, H_cnt = 4K).
 //!
-//! Every (workload × scheme) cell is an independent simulation, so the
-//! whole figure fans out over `SHADOW_BENCH_THREADS` workers; results are
+//! The sweep is `recipes/fig8.toml`, run through the campaign engine: every
+//! (workload × scheme) cell fans out over `SHADOW_BENCH_THREADS` workers,
 //! bit-identical to a serial sweep.
 
-use shadow_bench::{
-    banner, bench_threads, cell, relative_series_timed, request_target, ResultTable, Scheme,
-};
-use shadow_memsys::SystemConfig;
+use shadow_bench::{banner, bench_threads, cell, ResultTable};
+use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
-    let schemes = [
-        Scheme::Shadow,
-        Scheme::Parfm,
-        Scheme::MithrilPerf,
-        Scheme::MithrilArea,
-        Scheme::Drr,
-    ];
-    let workloads = [
-        "spec-high",
-        "spec-med",
-        "spec-low",
-        "gapbs",
-        "npb",
-        "mix-high",
-        "mix-blend",
-    ];
-
     banner("Figure 8: relative performance vs unprotected baseline (DDR4-2666, H_cnt = 4K)");
     println!("({} worker threads)", bench_threads());
-    let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = request_target();
+    let series = launch("fig8");
+    let schemes = distinct(series.iter().map(|r| r.cell.2));
+    let workloads = distinct(series.iter().map(|r| r.cell.1.as_str()));
 
     print!("{:<12}", "workload");
-    for s in schemes {
+    for s in &schemes {
         print!(" {:>12}", s.name());
     }
     print!(" {:>9} {:>9}", "wall_s", "Mcyc/s");
@@ -48,17 +30,20 @@ fn main() {
     header.extend(["wall_secs", "sim_mcycles_per_sec"]);
     let mut table = ResultTable::new("fig8_perf", &header);
     for w in workloads {
-        let series = relative_series_timed(cfg, w, &schemes);
+        let row_cells: Vec<_> = series.iter().filter(|r| r.cell.1 == w).collect();
         print!("{w:<12}");
         let mut row = vec![w.to_string()];
-        for (_, rel, _) in &series {
-            print!(" {:>12}", cell(*rel));
-            row.push(format!("{rel:.4}"));
+        for r in &row_cells {
+            print!(" {:>12}", cell(r.rel));
+            row.push(format!("{:.4}", r.rel));
         }
-        // Wall-clock observability: total worker-seconds the row's cells
-        // cost, and the aggregate engine throughput across them.
-        let wall: f64 = series.iter().map(|(_, _, c)| c.wall_secs).sum();
-        let cycles: f64 = series.iter().map(|(_, _, c)| c.report.cycles as f64).sum();
+        // Wall-clock observability: total worker-seconds the row's scheme
+        // cells cost, and the aggregate engine throughput across them.
+        let wall: f64 = row_cells.iter().map(|r| r.result.wall_secs).sum();
+        let cycles: f64 = row_cells
+            .iter()
+            .map(|r| r.result.report.cycles as f64)
+            .sum();
         let mcps = if wall > 0.0 { cycles / wall / 1e6 } else { 0.0 };
         print!(" {wall:>9.2} {mcps:>9.1}");
         row.push(format!("{wall:.3}"));

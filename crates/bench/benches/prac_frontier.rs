@@ -15,55 +15,46 @@
 //! Besides relative performance, each cell reports the PRAC-era columns of
 //! [`SimReport`]: ABO alerts, cycles spent in recovery RFMs, and tracker
 //! evictions (DAPPER's performance-attack-resilience metric).
+//!
+//! The sweep is `recipes/prac_frontier.toml`, run through the campaign
+//! engine.
 
-use shadow_bench::{
-    banner, bench_threads, cell, relative_series_timed, request_target, ResultTable, Scheme,
-};
-use shadow_memsys::SystemConfig;
+use shadow_bench::{banner, bench_threads, cell, ResultTable};
+use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
-    let schemes = [
-        Scheme::Prac,
-        Scheme::Practical,
-        Scheme::Dapper,
-        Scheme::Shadow,
-        Scheme::Rrs,
-    ];
-    let workloads = ["random-stream", "spec-high"];
-
     banner(
         "PRAC-era frontier: PRAC / PRACtical / DAPPER vs SHADOW and RRS (DDR4-2666, H_cnt = 4K)",
     );
     println!("({} worker threads)", bench_threads());
-    let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = request_target();
+    let series = launch("prac_frontier");
 
     let mut header = vec!["workload", "scheme", "rel_perf"];
     header.extend(["abo_events", "abo_recovery_cycles", "tracker_evictions"]);
     let mut table = ResultTable::new("prac_frontier", &header);
-    for w in workloads {
+    for w in distinct(series.iter().map(|r| r.cell.1.as_str())) {
         println!("\n[{w}]");
         println!(
             "{:<12} {:>9} {:>11} {:>14} {:>12}",
             "scheme", "rel_perf", "abo_events", "recovery_cyc", "evictions"
         );
-        let series = relative_series_timed(cfg, w, &schemes);
-        for (s, rel, r) in &series {
+        for r in series.iter().filter(|r| r.cell.1 == w) {
+            let (s, rel, report) = (r.cell.2, r.rel, &r.result.report);
             println!(
                 "{:<12} {:>9} {:>11} {:>14} {:>12}",
                 s.name(),
-                cell(*rel),
-                r.report.abo_events,
-                r.report.abo_recovery_cycles,
-                r.report.tracker_evictions
+                cell(rel),
+                report.abo_events,
+                report.abo_recovery_cycles,
+                report.tracker_evictions
             );
             table.push(&[
                 w.to_string(),
                 s.name().to_string(),
                 format!("{rel:.4}"),
-                r.report.abo_events.to_string(),
-                r.report.abo_recovery_cycles.to_string(),
-                r.report.tracker_evictions.to_string(),
+                report.abo_events.to_string(),
+                report.abo_recovery_cycles.to_string(),
+                report.tracker_evictions.to_string(),
             ]);
         }
     }

@@ -175,7 +175,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing characters at byte {pos}"));
@@ -215,8 +215,20 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a few kilobytes of
+/// `[` overflow the stack and abort the process; no manifest line,
+/// report or recipe comes near this.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match b.get(*pos) {
         None => err("unexpected end of input"),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -232,7 +244,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -257,7 +269,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -584,6 +596,20 @@ mod tests {
     fn malformed_inputs_error() {
         for src in ["", "{", "[1,", "\"open", "{\"a\" 1}", "tru", "1 2", "nan"] {
             assert!(Json::parse(src).is_err(), "`{src}` should not parse");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_named_error_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        for src in [
+            nest("[", "]", MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let e = Json::parse(&src).expect_err("too deep");
+            assert!(e.0.contains("nesting deeper than 128"), "{e}");
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! * `SHADOW_BENCH_REQS` — completed-request target per simulation run
 //!   (default 60 000; raise for tighter confidence).
-//! * `SHADOW_BENCH_CORES` — cores per multiprogrammed mix (default 8).
+//! * `SHADOW_BENCH_CORES` — cores per multiprogrammed mix (default 14).
 //! * `SHADOW_BENCH_THREADS` — sweep worker threads (default and `0`:
 //!   available parallelism). Results are bit-identical at any thread
 //!   count: every cell is an independent simulation with its own fixed
@@ -21,18 +21,12 @@
 //!   `SystemConfig::watchdog_window` at 0 (default: off). A stalled
 //!   cell then fails fast with `SimError::Stalled` and a diagnostic
 //!   snapshot instead of burning to `max_cycles`.
-//! * `SHADOW_BENCH_CELL_DEADLINE_SECS` — per-cell wall-clock deadline
-//!   for the crash-isolated runner ([`runner::run_cells_isolated`]);
-//!   cells over the deadline report `CellOutcome::TimedOut`.
-//! * `SHADOW_BENCH_RESUME` — path to a JSONL checkpoint manifest;
-//!   completed cells are appended and skipped on re-run, so an
-//!   interrupted sweep resumes bit-identically (see
-//!   EXPERIMENTS.md "Failure handling & resume").
-//! * `SHADOW_BENCH_RETRIES` — per-cell fast-path retries for the
-//!   isolated/figure sweeps (default 0), with deterministic exponential
-//!   backoff starting at `SHADOW_BENCH_RETRY_BASE_MS` (default 1000)
-//!   and doubling per retry. The campaign service layers its own
-//!   recipe-driven retry policy on the same hooks.
+//! * `SHADOW_BENCH_RESUME` — path to a JSONL checkpoint manifest for the
+//!   figure sweeps (`fig8_perf`, `fig10_blast`, `fig11_sim`,
+//!   `prac_frontier`); completed cells are appended and restored on
+//!   re-run, so an interrupted sweep resumes bit-identically (see
+//!   EXPERIMENTS.md "Failure handling & resume"). Retries and per-cell
+//!   deadlines are the recipe's `[campaign]` keys, not env knobs.
 //! * `SHADOW_BENCH_CELLS` — truncate [`engine_sweep_cells`] to its first
 //!   `N` cells (default and `0`: all 12). CI's smoke job sets `2` to
 //!   build-and-execute the engine benches without the full measurement.
@@ -154,8 +148,8 @@ impl Scheme {
 ///
 /// Everything a sweep can hit short of a hard panic: malformed environment
 /// knobs, unknown workload names, simulation errors (bad config, watchdog
-/// stall), and checkpoint-manifest I/O. The isolated runner
-/// ([`runner::run_cells_isolated`]) maps these into per-cell outcomes so
+/// stall), and checkpoint-manifest I/O. The per-cell runner
+/// ([`runner::run_cell_with_retry`]) maps these into per-cell outcomes so
 /// one bad cell cannot kill a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BenchError {
@@ -387,7 +381,7 @@ pub fn build_mitigation(scheme: Scheme, cfg: &SystemConfig) -> Box<dyn Mitigatio
 /// # Panics
 ///
 /// Panics on an unknown name ([`try_workload`] is the fallible form the
-/// isolated sweep runner uses).
+/// campaign engine uses).
 pub fn workload(name: &str, cfg: &SystemConfig, seed: u64) -> Vec<Box<dyn RequestStream>> {
     try_workload(name, cfg, seed).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -646,27 +640,6 @@ where
         .collect()
 }
 
-/// Like [`run_parallel`], but a panicking job becomes an `Err` carrying
-/// the panic payload instead of poisoning the sweep: the other N−1 jobs
-/// still run and return in order. The crash-isolated sweep runner
-/// ([`runner::run_cells_isolated`]) builds on this.
-pub fn run_parallel_isolated<T, F>(jobs: Vec<F>, threads: usize) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let guarded: Vec<_> = jobs
-        .into_iter()
-        .map(|f| {
-            move || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                    .map_err(|e| panic_message(e.as_ref()))
-            }
-        })
-        .collect();
-    run_parallel(guarded, threads)
-}
-
 /// Extracts the human-readable message from a panic payload (the `&str` /
 /// `String` forms `panic!` produces; anything else gets a placeholder).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -727,7 +700,7 @@ pub fn timed_run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> Cell
 /// When the config leaves the watchdog off, `SHADOW_BENCH_WATCHDOG`
 /// (cycles) arms it sweep-wide; cells that configure their own window keep
 /// it. [`Engine::Reference`] runs the cell on the reference engine exactly
-/// like [`run_uncached`] — the isolated runner retries a failed cell there:
+/// like [`run_uncached`] — the per-cell runner probes a failed cell there:
 /// if the retry succeeds, the fast path diverged from the reference engine
 /// and the cell result says so. [`Engine::Fast`] keeps the cell's own
 /// engine.
@@ -779,88 +752,6 @@ pub fn run_cells_with(threads: usize, cells: Vec<Cell>) -> Vec<CellResult> {
         .map(|(cfg, wname, scheme)| move || timed_run(cfg, &wname, scheme))
         .collect();
     run_parallel(jobs, threads)
-}
-
-/// Fans `cells` over the crash-isolated resumable runner with options
-/// from the environment (`SHADOW_BENCH_RESUME`, `SHADOW_BENCH_RETRIES`,
-/// `SHADOW_BENCH_CELL_DEADLINE_SECS` — see [`runner::SweepOptions::from_env`])
-/// and returns the completed results in cell order.
-///
-/// This is the sweep entry point the figure benches use: when any cell
-/// ends `Panicked`/`Stalled`/`TimedOut`/`Invalid`, it prints a per-outcome
-/// summary line plus each failed cell's diagnosis and **exits the process
-/// nonzero** — a bench that lost cells must not exit 0 and let CI
-/// green-light a partial artifact. (Benches previously panicked the whole
-/// sweep on the first failure and never saw the other N−1 results; now
-/// they complete the sweep, report every outcome, and fail honestly.)
-pub fn run_cells_reporting(cells: Vec<Cell>) -> Vec<CellResult> {
-    let opts = runner::SweepOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
-    let outcomes = runner::run_cells_isolated(cells, &opts).unwrap_or_else(|e| panic!("{e}"));
-    let summary = runner::OutcomeSummary::from_outcomes(&outcomes);
-    if !summary.all_ok() {
-        eprintln!("[sweep] {summary}");
-        for (i, o) in outcomes.iter().enumerate() {
-            match o {
-                runner::CellOutcome::Ok(_) => {}
-                runner::CellOutcome::Panicked { message, .. } => {
-                    eprintln!("[sweep] cell {i} panicked: {message}")
-                }
-                runner::CellOutcome::Stalled { snapshot, .. } => {
-                    eprintln!("[sweep] cell {i} stalled: {}", snapshot.brief())
-                }
-                runner::CellOutcome::TimedOut { deadline_secs } => {
-                    eprintln!("[sweep] cell {i} blew its {deadline_secs}s deadline")
-                }
-                runner::CellOutcome::Invalid { error } => {
-                    eprintln!("[sweep] cell {i} invalid: {error}")
-                }
-            }
-        }
-        std::process::exit(summary.exit_code());
-    }
-    outcomes
-        .into_iter()
-        .map(|o| match o {
-            runner::CellOutcome::Ok(r) => r,
-            _ => unreachable!("all_ok checked above"),
-        })
-        .collect()
-}
-
-/// Runs `workload_name` for every scheme and returns performance relative
-/// to the baseline run, in the given scheme order. The baseline and all
-/// scheme runs execute as one parallel sweep.
-pub fn relative_series(
-    cfg: SystemConfig,
-    workload_name: &str,
-    schemes: &[Scheme],
-) -> Vec<(Scheme, f64)> {
-    relative_series_timed(cfg, workload_name, schemes)
-        .into_iter()
-        .map(|(s, rel, _)| (s, rel))
-        .collect()
-}
-
-/// [`relative_series`] keeping each scheme cell's wall-clock measurement
-/// (the baseline cell's time is folded into the first returned cell set's
-/// sweep but not reported per-scheme).
-pub fn relative_series_timed(
-    cfg: SystemConfig,
-    workload_name: &str,
-    schemes: &[Scheme],
-) -> Vec<(Scheme, f64, CellResult)> {
-    let mut cells: Vec<Cell> = vec![(cfg, workload_name.to_string(), Scheme::Baseline)];
-    cells.extend(schemes.iter().map(|&s| (cfg, workload_name.to_string(), s)));
-    let mut results = run_cells_reporting(cells);
-    let base = results.remove(0);
-    schemes
-        .iter()
-        .zip(results)
-        .map(|(&s, r)| {
-            let rel = r.report.relative_performance(&base.report);
-            (s, rel, r)
-        })
-        .collect()
 }
 
 /// The workspace root, anchored from this crate's manifest (benches run
@@ -1069,9 +960,8 @@ mod tests {
     fn tiny_end_to_end_relative_run() {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 500;
-        let series = relative_series(cfg, "random-stream", &[Scheme::Shadow]);
-        assert_eq!(series.len(), 1);
-        let (_, rel) = series[0];
+        let base = run(cfg, "random-stream", Scheme::Baseline);
+        let rel = run(cfg, "random-stream", Scheme::Shadow).relative_performance(&base);
         assert!(rel > 0.3 && rel <= 1.05, "relative perf {rel}");
     }
 }

@@ -1,32 +1,25 @@
-//! Crash-isolated, resumable sweep execution.
+//! Per-cell execution machinery for the campaign engine
+//! (`shadow_campaign::run_campaign`, the one sweep executor).
 //!
-//! [`run_cells_isolated`] is the fault-tolerant sibling of
-//! [`run_cells`](crate::run_cells): each cell runs behind
-//! `catch_unwind` (and optionally a wall-clock deadline), so one
-//! panicking, stalling, or runaway cell yields one non-[`CellOutcome::Ok`]
-//! entry while the other N−1 cells complete normally and come back in
-//! cell order, bit-identical to a fault-free sweep.
+//! [`run_cell_with_retry`] runs one cell behind `catch_unwind` (and
+//! optionally a wall-clock deadline), with bounded deterministic-backoff
+//! fast-path retries drawing from a shared [`RetryBudget`]. A cell whose
+//! retries are exhausted gets one probe on the reference engine — every
+//! fast path defeated, exactly the [`run_uncached`](crate::run_uncached)
+//! configuration. A probe that *succeeds* is the smoking gun of a
+//! fast-path/reference divergence and is reported as such
+//! ([`RetryOutcome::Recovered`]) rather than silently papering over an
+//! engine bug.
 //!
-//! Failed cells (panic or watchdog stall) are retried **once** on the
-//! reference engine — every fast path defeated, exactly the
-//! [`run_uncached`](crate::run_uncached) configuration. A retry that
-//! *succeeds* is the smoking gun of a fast-path/reference divergence and
-//! is reported as such ([`RetryOutcome::Recovered`]) rather than silently
-//! papering over an engine bug.
-//!
-//! With a checkpoint manifest ([`SweepOptions::manifest`], or
-//! `SHADOW_BENCH_RESUME`), every completed cell appends one JSONL line
-//! keyed by a fingerprint of the full cell configuration; re-running an
-//! interrupted sweep reloads the manifest and skips cells whose
-//! fingerprints are present, reconstructing their reports bit-identically
-//! from the stored JSON (pinned by the resume tests). Malformed trailing
-//! lines — the signature of a kill mid-write — are skipped, not fatal.
+//! The checkpoint manifest is one JSONL line per completed cell
+//! ([`append_checkpoint`]), keyed by a [`fingerprint`] of the full cell
+//! configuration. [`load_manifest`] reloads it on resume; malformed lines
+//! — the signature of a kill mid-write — are skipped, not fatal.
 
 use crate::json::{report_from_json, report_to_json, Json};
-use crate::{panic_message, run_parallel, BenchError, Cell, CellResult};
+use crate::{panic_message, BenchError, Cell, CellResult};
 use shadow_memsys::{Engine, SimError, StallSnapshot};
 use std::collections::HashMap;
-use std::fmt;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -47,31 +40,28 @@ pub fn default_runner() -> CellRunner {
 }
 
 /// What happened to the once-only reference-engine retry of a failed cell.
+/// Timeouts carry none: the reference engine is strictly slower than the
+/// fast path that already blew the deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RetryOutcome {
-    /// No retry was attempted (timeouts are not retried: the reference
-    /// engine is strictly slower than the fast path that already blew the
-    /// deadline).
-    NotAttempted,
     /// The reference engine completed the cell the fast path failed —
     /// a fast-path/reference divergence worth a bug report. The recovered
-    /// result is carried so the sweep can still use it, flagged.
+    /// result is carried for comparison with a fault-free run.
     Recovered(Box<CellResult>),
     /// The reference engine failed too (message attached): the fault is in
     /// the cell, not the fast path.
     AlsoFailed(String),
 }
 
-/// The outcome of one isolated sweep cell.
+/// The terminal outcome of one cell's attempts ([`run_cell_with_retry`]).
 ///
 /// `Ok` dwarfs the failure variants, but it is also the overwhelmingly
-/// common case and outcomes live one-per-cell in a short vector, so
+/// common case and an outcome lives only until the engine records it, so
 /// boxing it would pessimize every healthy sweep to slim a rare one.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
-    /// The cell completed (possibly restored from the checkpoint
-    /// manifest, in which case `wall_secs` is the original run's).
+    /// The cell completed on the fast path.
     Ok(CellResult),
     /// The cell panicked; `message` is the panic payload.
     Panicked {
@@ -82,11 +72,8 @@ pub enum CellOutcome {
     },
     /// The forward-progress watchdog aborted the cell.
     Stalled {
-        /// The formatted stall diagnosis (full per-bank dump).
-        error: String,
-        /// The structured snapshot of the *last* failed attempt, so
-        /// campaign reports can act on the stall kind and counters
-        /// without re-parsing the formatted string.
+        /// The structured snapshot of the *last* failed attempt; its
+        /// `Display` form is the full per-bank diagnosis.
         snapshot: Box<StallSnapshot>,
         /// What the reference-engine retry did.
         retry: RetryOutcome,
@@ -107,19 +94,6 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
-    /// The completed result, if any.
-    pub fn result(&self) -> Option<&CellResult> {
-        match self {
-            CellOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Whether this cell completed on the fast path.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, CellOutcome::Ok(_))
-    }
-
     /// Short machine-readable label (`"ok"`, `"panicked"`, …) used in
     /// summary lines and progress events.
     pub fn label(&self) -> &'static str {
@@ -175,12 +149,6 @@ impl RetryPolicy {
         self.base_delay_ms
             .saturating_mul(1u64 << shift)
             .min(self.max_delay_ms)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::NONE
     }
 }
 
@@ -358,140 +326,6 @@ impl SweepEvent {
 /// Observer for [`SweepEvent`]s. Called from worker threads — sinks must
 /// serialize internally (the campaign service locks its writer).
 pub type EventSink = Arc<dyn Fn(&SweepEvent) + Send + Sync>;
-
-/// A sink that drops every event (plain sweeps without observability).
-pub fn null_sink() -> EventSink {
-    Arc::new(|_| {})
-}
-
-/// Per-outcome tally of a finished sweep, with the process exit code the
-/// harness must propagate: a sweep whose cells panicked, stalled, or
-/// timed out must not exit 0 (that silently green-lit broken artifacts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeSummary {
-    /// Cells that completed on the fast path (restores included).
-    pub ok: usize,
-    /// Cells that panicked (terminal).
-    pub panicked: usize,
-    /// Cells the watchdog aborted (terminal).
-    pub stalled: usize,
-    /// Cells that blew their wall-clock deadline.
-    pub timed_out: usize,
-    /// Cells that could not be constructed.
-    pub invalid: usize,
-    /// Among the failures, how many the reference-engine probe completed
-    /// (a fast-path/reference divergence — a bug report, not a recovery).
-    pub recovered: usize,
-}
-
-impl OutcomeSummary {
-    /// Tallies a finished outcome vector.
-    pub fn from_outcomes(outcomes: &[CellOutcome]) -> Self {
-        let mut s = OutcomeSummary::default();
-        for o in outcomes {
-            match o {
-                CellOutcome::Ok(_) => s.ok += 1,
-                CellOutcome::Panicked { .. } => s.panicked += 1,
-                CellOutcome::Stalled { .. } => s.stalled += 1,
-                CellOutcome::TimedOut { .. } => s.timed_out += 1,
-                CellOutcome::Invalid { .. } => s.invalid += 1,
-            }
-            if matches!(o.retry(), Some(RetryOutcome::Recovered(_))) {
-                s.recovered += 1;
-            }
-        }
-        s
-    }
-
-    /// Whether every cell completed.
-    pub fn all_ok(&self) -> bool {
-        self.panicked == 0 && self.stalled == 0 && self.timed_out == 0 && self.invalid == 0
-    }
-
-    /// Process exit code: 0 when every cell completed, 1 otherwise.
-    pub fn exit_code(&self) -> i32 {
-        i32::from(!self.all_ok())
-    }
-}
-
-impl fmt::Display for OutcomeSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ok, {} panicked, {} stalled, {} timed out, {} invalid",
-            self.ok, self.panicked, self.stalled, self.timed_out, self.invalid
-        )?;
-        if self.recovered > 0 {
-            write!(
-                f,
-                " ({} recovered on the reference engine — fast-path divergence!)",
-                self.recovered
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Options for [`run_cells_isolated`].
-#[derive(Debug, Clone, Default)]
-pub struct SweepOptions {
-    /// Worker threads (`None`: [`crate::bench_threads`]).
-    pub threads: Option<usize>,
-    /// Per-cell wall-clock deadline in seconds (`None`: unlimited). Cells
-    /// run on dedicated threads only when a deadline is set; a cell that
-    /// blows it is abandoned (the thread is leaked — the process-level
-    /// cost of not having cancellable threads) and reported
-    /// [`CellOutcome::TimedOut`].
-    pub deadline_secs: Option<f64>,
-    /// Checkpoint manifest path (`None`: no checkpointing).
-    pub manifest: Option<PathBuf>,
-    /// Per-cell fast-path retry policy ([`RetryPolicy::NONE`] by default:
-    /// fail straight to the reference probe, the PR4 behaviour).
-    pub retry: RetryPolicy,
-}
-
-impl SweepOptions {
-    /// Builds options from the environment: `SHADOW_BENCH_CELL_DEADLINE_SECS`
-    /// (positive seconds), `SHADOW_BENCH_RESUME` (manifest path),
-    /// `SHADOW_BENCH_RETRIES` (per-cell fast-path retries), and
-    /// `SHADOW_BENCH_RETRY_BASE_MS` (first backoff delay; doubles per
-    /// retry, capped at 60 s).
-    ///
-    /// # Errors
-    ///
-    /// [`BenchError::Env`] naming the malformed variable.
-    pub fn from_env() -> Result<Self, BenchError> {
-        let deadline_secs = match std::env::var("SHADOW_BENCH_CELL_DEADLINE_SECS") {
-            Err(_) => None,
-            Ok(raw) => {
-                let secs: f64 = raw.parse().map_err(|e| BenchError::Env {
-                    var: "SHADOW_BENCH_CELL_DEADLINE_SECS",
-                    why: format!("`{raw}` did not parse as seconds: {e}"),
-                })?;
-                if secs <= 0.0 {
-                    return Err(BenchError::Env {
-                        var: "SHADOW_BENCH_CELL_DEADLINE_SECS",
-                        why: format!("deadline must be positive, got {secs}"),
-                    });
-                }
-                Some(secs)
-            }
-        };
-        let manifest = std::env::var("SHADOW_BENCH_RESUME").ok().map(PathBuf::from);
-        let budget: u32 = crate::env_parsed("SHADOW_BENCH_RETRIES", 0)?;
-        let base_delay_ms: u64 = crate::env_parsed("SHADOW_BENCH_RETRY_BASE_MS", 1_000)?;
-        Ok(SweepOptions {
-            threads: None,
-            deadline_secs,
-            manifest,
-            retry: RetryPolicy {
-                budget,
-                base_delay_ms,
-                max_delay_ms: 60_000,
-            },
-        })
-    }
-}
 
 /// FNV-1a fingerprint of a cell's full configuration (config `Debug`
 /// repr, workload name, scheme). Keys the checkpoint manifest: any config
@@ -767,107 +601,10 @@ pub fn run_cell_with_retry(
         let retry = retry_reference(cell, deadline_secs, run);
         let outcome = match failed {
             FailedAttempt::Panicked(message) => CellOutcome::Panicked { message, retry },
-            FailedAttempt::Stalled(snapshot) => CellOutcome::Stalled {
-                error: snapshot.to_string(),
-                snapshot,
-                retry,
-            },
+            FailedAttempt::Stalled(snapshot) => CellOutcome::Stalled { snapshot, retry },
         };
         return (outcome, attempt_no);
     }
-}
-
-/// [`run_cell_with_retry`] with no retries, no pool, and no observer —
-/// the plain PR4 execution shape the in-module tests drive directly.
-#[cfg(test)]
-fn run_cell_isolated(cell: &Cell, deadline_secs: Option<f64>, run: &CellRunner) -> CellOutcome {
-    run_cell_with_retry(
-        0,
-        cell,
-        deadline_secs,
-        &RetryPolicy::NONE,
-        &RetryBudget::unlimited(),
-        run,
-        &null_sink(),
-    )
-    .0
-}
-
-/// Fans `cells` over worker threads with per-cell crash isolation, the
-/// optional deadline, the once-only reference retry, and checkpoint
-/// resume. Outcomes come back **in cell order**; completed cells are
-/// bit-identical to a [`run_cells`](crate::run_cells) sweep (pinned by
-/// the fault-injection tests).
-///
-/// # Errors
-///
-/// Only manifest-level failures (unreadable manifest file, un-appendable
-/// checkpoint) abort the sweep; per-cell failures are [`CellOutcome`]s.
-pub fn run_cells_isolated(
-    cells: Vec<Cell>,
-    opts: &SweepOptions,
-) -> Result<Vec<CellOutcome>, BenchError> {
-    run_cells_isolated_with(cells, opts, default_runner())
-}
-
-/// [`run_cells_isolated`] with a substitute [`CellRunner`] — the
-/// fault-injection tests' entry point for manufacturing panics and stalls
-/// inside otherwise-normal sweep cells.
-///
-/// # Errors
-///
-/// Same contract as [`run_cells_isolated`].
-pub fn run_cells_isolated_with(
-    cells: Vec<Cell>,
-    opts: &SweepOptions,
-    run: CellRunner,
-) -> Result<Vec<CellOutcome>, BenchError> {
-    let threads = opts.threads.unwrap_or_else(crate::bench_threads);
-    let done: HashMap<u64, CellResult> = match &opts.manifest {
-        Some(path) => {
-            let m = load_manifest(path)?;
-            if !m.is_empty() {
-                eprintln!(
-                    "[resume] {}: {} completed cell(s) on file",
-                    path.display(),
-                    m.len()
-                );
-            }
-            m
-        }
-        None => HashMap::new(),
-    };
-    let appender: Option<Mutex<std::fs::File>> = match &opts.manifest {
-        Some(path) => Some(Mutex::new(open_manifest_appender(path)?)),
-        None => None,
-    };
-    let appender = &appender;
-    let deadline = opts.deadline_secs;
-    let policy = &opts.retry;
-    let pool = RetryBudget::unlimited();
-    let pool = &pool;
-    let sink = null_sink();
-    let sink = &sink;
-    let run = &run;
-    let jobs: Vec<_> = cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| {
-            let restored = done.get(&fingerprint(cell)).cloned();
-            move || match restored {
-                Some(result) => CellOutcome::Ok(result),
-                None => {
-                    let (outcome, _attempts) =
-                        run_cell_with_retry(index, cell, deadline, policy, pool, run, sink);
-                    if let (CellOutcome::Ok(result), Some(file)) = (&outcome, appender) {
-                        append_checkpoint(file, cell, result);
-                    }
-                    outcome
-                }
-            }
-        })
-        .collect();
-    Ok(run_parallel(jobs, threads))
 }
 
 #[cfg(test)]
@@ -895,25 +632,64 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
     }
 
+    /// Runs `cell` once through [`run_cell_with_retry`] with a retry budget
+    /// of 3, returning the outcome and the attempts it took.
+    fn run_with_budget(cell: &Cell) -> (CellOutcome, u32) {
+        let policy = RetryPolicy {
+            budget: 3,
+            base_delay_ms: 0,
+            max_delay_ms: 0,
+        };
+        let sink: EventSink = Arc::new(|_| {});
+        let pool = RetryBudget::unlimited();
+        run_cell_with_retry(0, cell, None, &policy, &pool, &default_runner(), &sink)
+    }
+
     #[test]
     fn invalid_cell_is_reported_not_retried() {
         let mut cell = tiny_cell("random-stream");
         cell.0.mlp = 0;
-        let out = run_cell_isolated(&cell, None, &default_runner());
-        match out {
-            CellOutcome::Invalid { error } => assert!(error.contains("mlp"), "{error}"),
-            other => panic!("expected Invalid, got {other:?}"),
+        match run_with_budget(&cell) {
+            (CellOutcome::Invalid { error }, 1) => assert!(error.contains("mlp"), "{error}"),
+            other => panic!("expected Invalid after one attempt, got {other:?}"),
         }
     }
 
     #[test]
     fn unknown_workload_is_invalid_outcome() {
         let cell = tiny_cell("not-a-workload");
-        match run_cell_isolated(&cell, None, &default_runner()) {
-            CellOutcome::Invalid { error } => {
+        match run_with_budget(&cell) {
+            (CellOutcome::Invalid { error }, 1) => {
                 assert!(error.contains("not-a-workload"), "{error}")
             }
-            other => panic!("expected Invalid, got {other:?}"),
+            other => panic!("expected Invalid after one attempt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reference_probe_recovers_a_fast_path_only_failure() {
+        // Broken on the fast path only: the reference probe completes the
+        // cell, and what it recovers is the fault-free result.
+        let cell = tiny_cell("random-stream");
+        let run: CellRunner = Arc::new(|(cfg, workload, scheme), mode| {
+            assert!(mode == Engine::Reference, "fast path broken");
+            crate::try_timed_run(cfg, &workload, scheme, mode)
+        });
+        let sink: EventSink = Arc::new(|_| {});
+        let pool = RetryBudget::unlimited();
+        match run_cell_with_retry(0, &cell, None, &RetryPolicy::NONE, &pool, &run, &sink) {
+            (
+                CellOutcome::Panicked {
+                    message,
+                    retry: RetryOutcome::Recovered(recovered),
+                },
+                1,
+            ) => {
+                assert!(message.contains("fast path broken"), "{message}");
+                let clean = crate::timed_run(cell.0, &cell.1, cell.2);
+                assert_eq!(recovered.report, clean.report);
+            }
+            other => panic!("expected a recovered panic, got {other:?}"),
         }
     }
 
@@ -953,31 +729,6 @@ mod tests {
         assert!(!pool.try_draw(), "stays dry");
         assert_eq!(pool.remaining(), 0);
         assert!(RetryBudget::unlimited().try_draw());
-    }
-
-    #[test]
-    fn outcome_summary_counts_and_exit_code() {
-        let ok = CellOutcome::Ok(crate::timed_run(
-            tiny_cell("random-stream").0,
-            "random-stream",
-            Scheme::Baseline,
-        ));
-        let bad = CellOutcome::Panicked {
-            message: "boom".into(),
-            retry: RetryOutcome::NotAttempted,
-        };
-        let healthy = OutcomeSummary::from_outcomes(std::slice::from_ref(&ok));
-        assert!(healthy.all_ok());
-        assert_eq!(healthy.exit_code(), 0);
-        let mixed = OutcomeSummary::from_outcomes(&[ok, bad]);
-        assert_eq!((mixed.ok, mixed.panicked), (1, 1));
-        assert!(!mixed.all_ok());
-        assert_eq!(mixed.exit_code(), 1);
-        let line = mixed.to_string();
-        assert!(
-            line.contains("1 ok") && line.contains("1 panicked"),
-            "{line}"
-        );
     }
 
     #[test]
@@ -1037,9 +788,16 @@ mod tests {
         let result = crate::timed_run(cell.0, &cell.1, cell.2);
         let good = manifest_line(&cell, &result);
         let truncated = &good[..good.len() / 2];
-        std::fs::write(&path, format!("{good}\n{truncated}\n")).expect("write");
+        // A line nested 100 000 deep must be skipped too, not overflow the
+        // reader's stack.
+        let deep = "[".repeat(100_000);
+        std::fs::write(&path, format!("{good}\n{truncated}\n{deep}\n")).expect("write");
         let map = load_manifest(&path).expect("loads");
-        assert_eq!(map.len(), 1, "good line kept, truncated line skipped");
+        assert_eq!(
+            map.len(),
+            1,
+            "good line kept, truncated and deep lines skipped"
+        );
         assert!(map.contains_key(&fingerprint(&cell)));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,7 @@
 //! Campaign execution: recipe → fingerprinted cells → retrying,
 //! deadline-aware, crash-survivable threadpool run → artifact.
 //!
-//! The engine layers on the `shadow-bench` isolated runner: each cell
+//! The engine layers on the `shadow-bench` per-cell runner: each cell
 //! runs behind `catch_unwind` (plus an optional wall-clock deadline)
 //! with bounded deterministic-backoff retries drawing from a
 //! campaign-wide [`RetryBudget`] pool. A cell that exhausts its retries

@@ -19,10 +19,14 @@
 //! (`[[fault]]` recipe entries driving
 //! [`FaultyMitigation`](shadow_conformance::FaultyMitigation)) exists
 //! so every failure path is exercised deterministically in CI.
+//!
+//! The engine is the workspace's one sweep executor: the figure benches
+//! are thin launchers of checked-in recipes ([`figure`]).
 
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod figure;
 pub mod recipe;
 pub mod serve;
 pub mod signals;

@@ -19,7 +19,7 @@
 //! `{` is parsed as JSON directly, so programmatic submitters (the
 //! `serve` socket) can skip TOML entirely.
 
-use shadow_bench::json::Json;
+use shadow_bench::json::{Json, MAX_DEPTH};
 use shadow_bench::runner::{fingerprint, RetryPolicy};
 use shadow_bench::{Cell, Scheme};
 use shadow_conformance::Fault;
@@ -93,6 +93,11 @@ fn split_path(raw: &str, line_no: usize) -> Result<Vec<String>, RecipeError> {
             segs.push(seg.to_string());
             rest = &rest[end..];
         }
+        if segs.len() > MAX_DEPTH {
+            return err(format!(
+                "line {line_no}: table header nests deeper than {MAX_DEPTH} levels"
+            ));
+        }
         if rest.is_empty() {
             return Ok(segs);
         }
@@ -142,8 +147,14 @@ fn table_at<'a>(
 
 /// Recursive-descent parser for a TOML value (string / number / bool /
 /// inline array). `pos` is advanced past the value; trailing garbage is
-/// the caller's problem.
-fn parse_value(b: &[u8], pos: &mut usize, line_no: usize) -> Result<Json, RecipeError> {
+/// the caller's problem. Arrays nest at most [`MAX_DEPTH`] deep, so a
+/// line of `[[[…` is an error rather than a stack overflow.
+fn parse_value(
+    b: &[u8],
+    pos: &mut usize,
+    line_no: usize,
+    depth: usize,
+) -> Result<Json, RecipeError> {
     while *pos < b.len() && (b[*pos] == b' ' || b[*pos] == b'\t') {
         *pos += 1;
     }
@@ -187,6 +198,9 @@ fn parse_value(b: &[u8], pos: &mut usize, line_no: usize) -> Result<Json, Recipe
             }
             err(format!("line {line_no}: unterminated string"))
         }
+        b'[' if depth >= MAX_DEPTH => err(format!(
+            "line {line_no}: arrays nest deeper than {MAX_DEPTH} levels"
+        )),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -201,7 +215,7 @@ fn parse_value(b: &[u8], pos: &mut usize, line_no: usize) -> Result<Json, Recipe
                     *pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                items.push(parse_value(b, pos, line_no)?);
+                items.push(parse_value(b, pos, line_no, depth + 1)?);
             }
         }
         _ => {
@@ -285,7 +299,7 @@ pub fn toml_to_json(text: &str) -> Result<Json, RecipeError> {
             let value_src = line[eq + 1..].trim();
             let b = value_src.as_bytes();
             let mut pos = 0;
-            let value = parse_value(b, &mut pos, line_no)?;
+            let value = parse_value(b, &mut pos, line_no, 0)?;
             while pos < b.len() && matches!(b[pos], b' ' | b'\t') {
                 pos += 1;
             }
@@ -934,6 +948,26 @@ events = "none"
         ] {
             let e = toml_to_json(src).expect_err(src);
             assert!(e.0.contains(needle), "`{src}` → {e}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_named_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        for (src, needle) in [
+            (format!("name = {deep}"), "arrays nest deeper than 128"),
+            (
+                format!("[{}]", "a.".repeat(100_000) + "a"),
+                "nests deeper than 128",
+            ),
+            (
+                format!("[[{}]]", "a.".repeat(100_000) + "a"),
+                "nests deeper than 128",
+            ),
+            (format!("{{\"campaign\": {deep}"), "nesting deeper than 128"),
+        ] {
+            let e = Recipe::parse(&src).expect_err("too deep");
+            assert!(e.0.contains(needle), "{e}");
         }
     }
 
