@@ -12,6 +12,11 @@
 //!   DA-round-robin incremental refresh (§IV-C), execute the two-row-copy
 //!   shuffle, and write the remapping-row back.
 //!
+//! A subarray's remapping table is created by the first RFM that shuffles
+//! that subarray; before then its mapping is the identity, which
+//! [`ShadowBank::translate`] and [`ShadowBank::reverse`] answer without a
+//! table. A bank that RFMs never reached holds no tables at all.
+//!
 //! The controller is pure mechanism: all timing is modelled by
 //! [`crate::timing::ShadowTiming`] and charged by the memory-system
 //! simulator; all disturbance effects are reported through [`RfmOutcome`]
@@ -56,10 +61,17 @@ pub struct RfmOutcome {
 
 /// Per-bank SHADOW state: one remapping table per subarray plus the
 /// controller's sampling latches and RNG buffer.
+///
+/// A subarray's remapping-row holds the identity mapping until the first
+/// RFM shuffles that subarray (§IV-B), so its [`RemapTable`] is created
+/// then; until it exists, translation is the identity and the empty row
+/// sits in slot `rows_per_subarray`. State therefore follows the subarrays
+/// RFMs reach, not the size of the bank.
 #[derive(Debug)]
 pub struct ShadowBank {
     cfg: ShadowConfig,
-    tables: Vec<RemapTable>,
+    /// One table per subarray, `None` while the mapping is the identity.
+    tables: Vec<Option<Box<RemapTable>>>,
     sampler: ReservoirSampler,
     rng: Box<dyn RandomSource>,
     rfms: u64,
@@ -67,7 +79,7 @@ pub struct ShadowBank {
 }
 
 impl ShadowBank {
-    /// Creates a bank with identity mappings.
+    /// Creates a bank with identity mappings (no table is allocated).
     ///
     /// # Panics
     ///
@@ -79,9 +91,7 @@ impl ShadowBank {
         );
         ShadowBank {
             cfg,
-            tables: (0..cfg.subarrays)
-                .map(|_| RemapTable::new(cfg.rows_per_subarray))
-                .collect(),
+            tables: (0..cfg.subarrays).map(|_| None).collect(),
             sampler: ReservoirSampler::new(),
             rng,
             rfms: 0,
@@ -117,7 +127,11 @@ impl ShadowBank {
         let sa = pa_row / self.cfg.rows_per_subarray;
         assert!(sa < self.cfg.subarrays, "PA row {pa_row} out of range");
         let idx = pa_row % self.cfg.rows_per_subarray;
-        sa * self.da_rows_per_subarray() + self.tables[sa as usize].da_of(idx)
+        let slot = match &self.tables[sa as usize] {
+            Some(t) => t.da_of(idx),
+            None => idx,
+        };
+        sa * self.da_rows_per_subarray() + slot
     }
 
     /// Reverse translation: which PA row currently lives at a DA row
@@ -127,9 +141,11 @@ impl ShadowBank {
         let sa = da_row / per;
         assert!(sa < self.cfg.subarrays, "DA row {da_row} out of range");
         let slot = da_row % per;
-        self.tables[sa as usize]
-            .pa_of(slot)
-            .map(|idx| sa * self.cfg.rows_per_subarray + idx)
+        let idx = match &self.tables[sa as usize] {
+            Some(t) => t.pa_of(slot),
+            None => (slot < self.cfg.rows_per_subarray).then_some(slot),
+        };
+        idx.map(|idx| sa * self.cfg.rows_per_subarray + idx)
     }
 
     /// Records an ACT of `pa_row` for aggressor sampling (one reservoir
@@ -154,7 +170,8 @@ impl ShadowBank {
             .unwrap_or_else(|| self.rng.gen_below(total_rows as u64) as u32);
         let sa = aggr_pa / self.cfg.rows_per_subarray;
         let aggr_idx = aggr_pa % self.cfg.rows_per_subarray;
-        let table = &mut self.tables[sa as usize];
+        let rows = self.cfg.rows_per_subarray;
+        let table = self.tables[sa as usize].get_or_insert_with(|| Box::new(RemapTable::new(rows)));
 
         // (2) Incremental refresh at the DA pointer (§IV-C).
         let refreshed_slot = table.advance_incr_ptr();
@@ -187,22 +204,25 @@ impl ShadowBank {
         self.shuffles
     }
 
-    /// Access to a subarray's remapping table (read-only; for analysis).
+    /// A subarray's remapping table, or `None` while no RFM has shuffled
+    /// it (its mapping is then the identity).
     ///
     /// # Panics
     ///
     /// Panics if `sa` is out of range.
-    pub fn table(&self, sa: u32) -> &RemapTable {
-        &self.tables[sa as usize]
+    pub fn table(&self, sa: u32) -> Option<&RemapTable> {
+        self.tables[sa as usize].as_deref()
     }
 
-    /// Verifies every subarray's mapping invariant.
+    /// Verifies the mapping invariant of every subarray that has a table
+    /// (the others hold the identity, which satisfies it).
     ///
     /// # Errors
     ///
     /// Reports the first subarray whose table is inconsistent.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, t) in self.tables.iter().enumerate() {
+            let Some(t) = t else { continue };
             t.check_invariants()
                 .map_err(|e| format!("subarray {i}: {e}"))?;
         }
@@ -231,6 +251,19 @@ mod tests {
         assert_eq!(b.translate(15), 15);
         assert_eq!(b.translate(16), 17); // subarray 1 starts at DA 17
         assert_eq!(b.da_rows(), 4 * 17);
+    }
+
+    #[test]
+    fn tables_appear_on_first_shuffle_only() {
+        let mut b = bank();
+        assert!((0..4).all(|sa| b.table(sa).is_none()));
+        assert_eq!(b.reverse(16), None, "slot 16 of subarray 0 is empty");
+        assert_eq!(b.reverse(17), Some(16));
+        b.note_activate(20); // subarray 1
+        b.on_rfm();
+        assert!(b.table(1).is_some());
+        assert!([0, 2, 3].iter().all(|&sa| b.table(sa).is_none()));
+        assert!(b.check_invariants().is_ok());
     }
 
     #[test]

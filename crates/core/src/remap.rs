@@ -72,7 +72,8 @@ impl RemapTable {
     pub fn new(n: u32) -> Self {
         assert!(n > 0, "subarray must have rows");
         let fwd: Vec<u32> = (0..n).collect();
-        let mut inv: Vec<u32> = (0..n).collect();
+        let mut inv = Vec::with_capacity(n as usize + 1);
+        inv.extend(0..n);
         inv.push(Self::EMPTY);
         RemapTable {
             fwd,
@@ -277,6 +278,13 @@ mod tests {
         assert_eq!(t.empty_da(), 8);
         assert_eq!(t.pa_of(8), None);
         assert!(t.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn new_allocates_exact_capacity() {
+        let t = RemapTable::new(512);
+        assert_eq!(t.fwd.capacity(), 512);
+        assert_eq!(t.inv.capacity(), t.slots() as usize);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! property-testing framework.
 
 use shadow_core::bank::{ShadowBank, ShadowConfig};
+use shadow_core::remap::RemapTable;
 use shadow_core::security::{SecurityModel, SecurityParams};
 use shadow_crypto::PrinceRng;
 use shadow_sim::rng::Xoshiro256;
@@ -40,6 +41,57 @@ fn shadow_bank_mapping_stays_bijective() {
             let da = bank.translate(pa);
             assert!(da < bank.da_rows());
             assert_eq!(bank.reverse(da), Some(pa));
+        }
+    }
+}
+
+/// Remapping tables exist only for subarrays an RFM has shuffled. A dense
+/// model — one identity `RemapTable` per subarray, replaying each RFM's
+/// reported shuffle — must agree with the bank on every PA row's
+/// translation, every DA slot's reverse translation and every incremental
+/// refresh, whether the row's subarray has a table yet or not.
+#[test]
+fn lazy_tables_match_dense_model() {
+    let mut gen = Xoshiro256::seed_from_u64(0xC04E_0003);
+    for _ in 0..40 {
+        let seed = gen.next_u64();
+        let cfg = ShadowConfig {
+            subarrays: 16,
+            rows_per_subarray: 8,
+        };
+        let per = cfg.rows_per_subarray;
+        let mut bank = ShadowBank::new(cfg, Box::new(PrinceRng::new(seed, 7)));
+        let mut dense: Vec<RemapTable> = (0..cfg.subarrays).map(|_| RemapTable::new(per)).collect();
+        // ACTs fall in a few hot subarrays, so most never get a table.
+        let hot: Vec<u32> = (0..3).map(|_| gen.gen_range(0, 16) as u32).collect();
+        for _ in 0..gen.gen_range(1, 200) {
+            let sa = hot[gen.gen_index(hot.len())];
+            bank.note_activate(sa * per + gen.gen_range(0, per as u64) as u32);
+            if gen.gen_bool(0.3) {
+                let out = bank.on_rfm();
+                let t = &mut dense[out.target_subarray as usize];
+                let base = out.target_subarray * (per + 1);
+                assert_eq!(out.incremental_refresh_da, base + t.advance_incr_ptr());
+                t.shuffle(out.shuffled_pa.0 % per, out.shuffled_pa.1 % per);
+            }
+        }
+        assert!(bank.check_invariants().is_ok());
+        for sa in 0..cfg.subarrays {
+            assert_eq!(
+                bank.table(sa).is_some(),
+                dense[sa as usize].shuffles() > 0,
+                "subarray {sa} has a table iff it was shuffled"
+            );
+            for idx in 0..per {
+                let pa = sa * per + idx;
+                let da = bank.translate(pa);
+                assert_eq!(da, sa * (per + 1) + dense[sa as usize].da_of(idx));
+                assert_eq!(bank.reverse(da), Some(pa));
+            }
+            for slot in 0..=per {
+                let expect = dense[sa as usize].pa_of(slot).map(|i| sa * per + i);
+                assert_eq!(bank.reverse(sa * (per + 1) + slot), expect);
+            }
         }
     }
 }

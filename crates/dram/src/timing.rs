@@ -204,12 +204,15 @@ impl TimingParams {
     ///
     /// Returns a description of the first violated relation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.t_rc < self.t_ras + self.t_rp {
-            return Err(format!(
-                "tRC ({}) must cover tRAS + tRP ({})",
-                self.t_rc,
-                self.t_ras + self.t_rp
-            ));
+        match self.t_ras.checked_add(self.t_rp) {
+            Some(ras_rp) if self.t_rc >= ras_rp => {}
+            Some(ras_rp) => {
+                return Err(format!(
+                    "tRC ({}) must cover tRAS + tRP ({ras_rp})",
+                    self.t_rc
+                ))
+            }
+            None => return Err("tRAS + tRP overflows the cycle counter".into()),
         }
         if self.t_ras < self.t_rcd {
             return Err("tRAS must be at least tRCD".into());

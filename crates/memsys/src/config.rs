@@ -167,22 +167,69 @@ impl SystemConfig {
     ///
     /// [`SimError::InvalidConfig`] naming the first offending field.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.geometry.total_banks() == 0 {
+        let g = &self.geometry;
+        let banks = [g.ranks_per_channel, g.bank_groups, g.banks_per_group]
+            .into_iter()
+            .try_fold(g.channels, u32::checked_mul)
+            .ok_or_else(|| {
+                SimError::invalid(
+                    "geometry",
+                    "channels × ranks × bank groups × banks overflows u32",
+                )
+            })?;
+        if banks == 0 {
             return Err(SimError::invalid(
                 "geometry",
                 "no banks (channels × ranks × bank groups × banks must be ≥ 1)",
             ));
         }
-        if self.geometry.rows_per_subarray == 0 || self.geometry.subarrays_per_bank == 0 {
+        if g.rows_per_subarray == 0 || g.subarrays_per_bank == 0 {
             return Err(SimError::invalid(
                 "geometry",
                 "banks need at least one subarray with at least one row",
             ));
         }
-        if self.geometry.columns == 0 || self.geometry.column_bytes == 0 {
+        if g.subarrays_per_bank
+            .checked_mul(g.rows_per_subarray)
+            .is_none()
+        {
+            return Err(SimError::invalid(
+                "geometry",
+                "subarrays × rows per subarray (rows per bank) overflows u32",
+            ));
+        }
+        // A mitigation may add a row per subarray (SHADOW's empty row).
+        if g.rows_per_subarray
+            .checked_add(1)
+            .and_then(|r| r.checked_mul(g.subarrays_per_bank))
+            .is_none()
+        {
+            return Err(SimError::invalid(
+                "geometry",
+                "subarrays × (rows per subarray + 1), the device rows per bank \
+                 with one extra row per subarray, overflows u32",
+            ));
+        }
+        if g.columns == 0 || g.column_bytes == 0 {
             return Err(SimError::invalid(
                 "geometry",
                 "rows need at least one column of at least one byte",
+            ));
+        }
+        if [g.rows_per_bank(), g.columns, g.column_bytes]
+            .into_iter()
+            .try_fold(banks as u64, |acc, x| acc.checked_mul(x as u64))
+            .is_none()
+        {
+            return Err(SimError::invalid(
+                "geometry",
+                "capacity (banks × rows × columns × bytes) overflows u64",
+            ));
+        }
+        if self.rh.h_cnt == 0 || self.rh.blast_radius == 0 {
+            return Err(SimError::invalid(
+                "rh",
+                "H_cnt and the blast radius must both be ≥ 1",
             ));
         }
         self.timing

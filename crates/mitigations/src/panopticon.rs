@@ -13,17 +13,20 @@
 //!
 //! The counters live in DRAM cells (one MAT column pair), so capacity — not
 //! SRAM — pays for them; [`Panopticon::capacity_overhead`] reports it.
+//! The simulator allocates a subarray's counters on its first ACT; an
+//! untouched subarray's counters read zero and cost nothing.
 
 use crate::traits::{ActResponse, Mitigation};
 use crate::victims_of;
 use shadow_rh::RhParams;
 use shadow_sim::time::Cycle;
+use shadow_sim::Paged;
 
 /// The Panopticon mitigation.
 #[derive(Debug)]
 pub struct Panopticon {
-    /// Per-bank, per-row activation counters.
-    counters: Vec<Vec<u32>>,
+    /// Per-bank, per-row activation counters, one page per subarray.
+    counters: Vec<Paged<u32>>,
     threshold: u32,
     rh: RhParams,
     rows_per_subarray: u32,
@@ -41,9 +44,7 @@ impl Panopticon {
     pub fn new(banks: usize, rows_per_bank: u32, rh: RhParams) -> Self {
         let threshold = ((rh.h_cnt as f64 / (2.0 * rh.w_sum())).floor() as u32).max(1);
         Panopticon {
-            counters: (0..banks)
-                .map(|_| vec![0; rows_per_bank as usize])
-                .collect(),
+            counters: Self::pages(banks, rows_per_bank, 512),
             threshold,
             rh,
             rows_per_subarray: 512,
@@ -51,9 +52,22 @@ impl Panopticon {
         }
     }
 
-    /// Overrides the subarray size (tests use small geometries).
+    fn pages(banks: usize, rows_per_bank: u32, rows_per_subarray: u32) -> Vec<Paged<u32>> {
+        (0..banks)
+            .map(|_| Paged::new(rows_per_bank, rows_per_subarray))
+            .collect()
+    }
+
+    /// Overrides the subarray size (tests use small geometries). Starts
+    /// from zeroed counters, so call it before the first ACT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0`.
     #[must_use]
     pub fn with_rows_per_subarray(mut self, rows: u32) -> Self {
+        let rows_per_bank = self.counters.first().map_or(0, Paged::len);
+        self.counters = Self::pages(self.counters.len(), rows_per_bank, rows);
         self.rows_per_subarray = rows;
         self
     }
@@ -75,13 +89,10 @@ impl Panopticon {
     }
 
     /// Clears the counters of a refreshed block (auto-refresh restores the
-    /// rows, so their hammer budget restarts). Called by the system model.
+    /// rows, so their hammer budget restarts); subarrays never activated
+    /// are skipped.
     pub fn on_refresh_block(&mut self, bank: usize, start: u32, count: u32) {
-        let counters = &mut self.counters[bank];
-        let end = (start + count).min(counters.len() as u32);
-        for r in start..end {
-            counters[r as usize] = 0;
-        }
+        self.counters[bank].reset_range(start, start.saturating_add(count));
     }
 }
 
@@ -91,7 +102,7 @@ impl Mitigation for Panopticon {
     }
 
     fn on_activate(&mut self, bank: usize, pa_row: u32, _cycle: Cycle) -> ActResponse {
-        let c = &mut self.counters[bank][pa_row as usize];
+        let c = self.counters[bank].materialize(pa_row);
         *c += 1;
         if *c < self.threshold {
             return ActResponse::default();

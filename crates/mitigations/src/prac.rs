@@ -16,12 +16,14 @@
 //! siblings, which is where PRAC loses most of its performance.
 //!
 //! Both schemes are deterministic and RNG-free: per-bank per-row counters
-//! with no cross-channel state.
+//! with no cross-channel state. The counters of a subarray are allocated
+//! on its first ACT; an untouched subarray's counters read zero.
 
 use crate::traits::{AboScope, AboSpec, Mitigation, RfmAction};
 use crate::victims_of;
 use shadow_rh::RhParams;
 use shadow_sim::time::Cycle;
+use shadow_sim::Paged;
 use std::collections::VecDeque;
 
 /// Which PRAC-era variant this instance models.
@@ -42,8 +44,9 @@ pub struct Prac {
     blast_radius: u32,
     rows_per_subarray: u32,
     /// Per-bank per-DA-row activation counters (they live in the rows, so
-    /// they count committed ACTs, not controller-side consults).
-    counters: Vec<Vec<u32>>,
+    /// they count committed ACTs, not controller-side consults), one page
+    /// per subarray.
+    counters: Vec<Paged<u32>>,
     /// Per-bank queue of rows whose counters crossed, awaiting their
     /// recovery refresh.
     alerted: Vec<VecDeque<u32>>,
@@ -81,13 +84,16 @@ impl Prac {
     ) -> Self {
         assert!(banks > 0, "need at least one bank");
         assert!(rows_per_bank > 0, "need at least one row");
+        assert!(rows_per_subarray > 0, "need at least one row per subarray");
         Prac {
             mode,
             threshold: Self::threshold_for(rh.h_cnt, rh.blast_radius),
             rfms_per_alert: 2,
             blast_radius: rh.blast_radius,
             rows_per_subarray,
-            counters: vec![vec![0; rows_per_bank as usize]; banks],
+            counters: (0..banks)
+                .map(|_| Paged::new(rows_per_bank, rows_per_subarray))
+                .collect(),
             alerted: vec![VecDeque::new(); banks],
             alerts: 0,
         }
@@ -127,7 +133,7 @@ impl Mitigation for Prac {
     }
 
     fn on_act_issued(&mut self, bank: usize, da_row: u32) -> bool {
-        let c = &mut self.counters[bank][da_row as usize];
+        let c = self.counters[bank].materialize(da_row);
         *c += 1;
         if *c >= self.threshold {
             *c = 0;

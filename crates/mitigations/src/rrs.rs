@@ -7,6 +7,13 @@
 //! row-indirection table. Unlike SHADOW's in-DRAM copies, the swap streams
 //! both rows' data through the memory controller, blocking the channel for
 //! ~4 µs per swap (§III-A) — the latency SHADOW's in-subarray copies avoid.
+//!
+//! The indirection table starts as the identity and a swap moves two rows,
+//! so the simulator stores only the displaced rows: a per-bank map from PA
+//! to DA with no identity entries (a row that returns home is dropped).
+//! A bank never swapped holds an empty map, and a bank after `k` swaps
+//! holds at most `2k` entries. [`Rrs::table_cost`] still prices the
+//! chip's full one-entry-per-row table.
 
 use crate::traits::{ActResponse, Mitigation};
 use crate::{bank_stream_seed, SeedDomain};
@@ -14,6 +21,7 @@ use shadow_rh::RhParams;
 use shadow_sim::rng::Xoshiro256;
 use shadow_sim::time::Cycle;
 use shadow_trackers::{MisraGries, TrackerCost};
+use std::collections::HashMap;
 
 /// Channel blocking time per swap, in nanoseconds (§III-A: "4,000
 /// nanoseconds or more").
@@ -23,9 +31,9 @@ pub const SWAP_BLOCK_NS: f64 = 4000.0;
 #[derive(Debug)]
 pub struct Rrs {
     trackers: Vec<MisraGries>,
-    /// Per-bank PA→DA indirection (the Row Indirection Table).
-    fwd: Vec<Vec<u32>>,
-    inv: Vec<Vec<u32>>,
+    /// Per-bank PA→DA indirection (the Row Indirection Table), displaced
+    /// rows only: a PA with no entry maps to itself.
+    fwd: Vec<HashMap<u32, u32>>,
     threshold: u64,
     rows_per_bank: u32,
     /// Per-bank swap-partner streams (disjoint PRINCE counter windows via
@@ -53,8 +61,7 @@ impl Rrs {
         let entries = ((2_097_152 / threshold).clamp(64, 8192)) as usize;
         Rrs {
             trackers: (0..banks).map(|_| MisraGries::new(entries)).collect(),
-            fwd: (0..banks).map(|_| (0..rows_per_bank).collect()).collect(),
-            inv: (0..banks).map(|_| (0..rows_per_bank).collect()).collect(),
+            fwd: (0..banks).map(|_| HashMap::new()).collect(),
             threshold,
             rows_per_bank,
             rngs: (0..banks)
@@ -86,13 +93,26 @@ impl Rrs {
         ))
     }
 
+    /// Rows of `bank` currently away from their home DA.
+    pub fn displaced_rows(&self, bank: usize) -> usize {
+        self.fwd[bank].len()
+    }
+
+    fn da_of(&self, bank: usize, pa_row: u32) -> u32 {
+        debug_assert!(pa_row < self.rows_per_bank, "PA row {pa_row} out of range");
+        self.fwd[bank].get(&pa_row).copied().unwrap_or(pa_row)
+    }
+
     fn swap_rows(&mut self, bank: usize, pa_a: u32, pa_b: u32) -> (u32, u32) {
-        let da_a = self.fwd[bank][pa_a as usize];
-        let da_b = self.fwd[bank][pa_b as usize];
-        self.fwd[bank][pa_a as usize] = da_b;
-        self.fwd[bank][pa_b as usize] = da_a;
-        self.inv[bank][da_a as usize] = pa_b;
-        self.inv[bank][da_b as usize] = pa_a;
+        let da_a = self.da_of(bank, pa_a);
+        let da_b = self.da_of(bank, pa_b);
+        for (pa, da) in [(pa_a, da_b), (pa_b, da_a)] {
+            if pa == da {
+                self.fwd[bank].remove(&pa);
+            } else {
+                self.fwd[bank].insert(pa, da);
+            }
+        }
         self.swaps += 1;
         self.epochs[bank] += 1;
         (da_a, da_b)
@@ -105,7 +125,7 @@ impl Mitigation for Rrs {
     }
 
     fn translate(&mut self, bank: usize, pa_row: u32) -> u32 {
-        self.fwd[bank][pa_row as usize]
+        self.da_of(bank, pa_row)
     }
 
     fn remap_epoch(&self, bank: usize) -> u64 {

@@ -12,6 +12,16 @@
 //! rows (SHADOW, RRS) translate PA→DA before calling in, which is exactly
 //! how physical adjacency works on a real part.
 //!
+//! ## Paged rows
+//!
+//! A row the run never touches holds zero disturbance, so the ledger keeps
+//! its per-row state in one page per subarray
+//! ([`Paged`](shadow_sim::Paged)), allocated on the first ACT into that
+//! subarray. A victim always shares its aggressor's subarray, so one ACT
+//! touches one page. A row whose page does not exist reads as zero, and a
+//! restore of such a row is a no-op. Memory follows the subarrays a run
+//! touches (16 B per row of a touched subarray), not the size of the bank.
+//!
 //! ## Lazy restores
 //!
 //! Restores only ever *zero* state, so they commute with each other and
@@ -26,12 +36,18 @@
 //! covering restore, the lazy ledger is *bit-identical* to the eager one —
 //! pressures, flip records, flip order, and `at_act` tags all match.
 //!
-//! A construction-time eager mode ([`HammerLedger::new_eager`]) keeps the
-//! original scan-everything implementation alive as a differential
+//! A row needs no "already flipped" flag: pressure only grows between
+//! restores and starts below `H_cnt` (which is positive), so a row has
+//! flipped since its last restore exactly when its pressure is at or above
+//! `H_cnt`, and a flip is recorded on the deposit that crosses it.
+//!
+//! A construction-time eager mode ([`HammerLedger::new_eager`]) applies
+//! every restore at once (to the pages that exist) as a differential
 //! reference; the equivalence tests below and the conformance fuzzer's
 //! `eager-ledger` leg pin lazy == eager.
 
 use crate::model::RhParams;
+use shadow_sim::Paged;
 
 /// A recorded Row Hammer bit-flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,35 +58,61 @@ pub struct BitFlip {
     pub at_act: u64,
 }
 
+/// One row's disturbance state.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowState {
+    /// Accumulated effective disturbance since the last restore.
+    pressure: f64,
+    /// Restore-clock value at which `pressure` was last materialized.
+    stamp: u64,
+}
+
+/// The deferred-restore clock and the stamps it writes.
+#[derive(Debug, Clone, Default)]
+struct RestoreClock {
+    /// Monotone restore clock: bumped by every deferred restore.
+    now: u64,
+    /// Clock value of the latest `restore_all`.
+    all: u64,
+    /// Block granule for deferred `restore_block` stamps (0 = not yet
+    /// fixed; adopts the first aligned block size it sees).
+    block_size: u32,
+    /// Clock value of the latest deferred restore covering each granule.
+    blocks: Vec<u64>,
+}
+
+impl RestoreClock {
+    /// Clock value of the newest deferred restore covering `row`.
+    #[inline]
+    fn restored_at(&self, row: u32) -> u64 {
+        let block = row
+            .checked_div(self.block_size)
+            .and_then(|b| self.blocks.get(b as usize));
+        block.map_or(self.all, |&b| b.max(self.all))
+    }
+
+    /// `state`'s pressure with any deferred restore covering `row` applied.
+    #[inline]
+    fn effective(&self, row: u32, state: RowState) -> f64 {
+        if self.restored_at(row) > state.stamp {
+            0.0
+        } else {
+            state.pressure
+        }
+    }
+}
+
 /// Per-bank Row Hammer disturbance state.
 #[derive(Debug, Clone)]
 pub struct HammerLedger {
     params: RhParams,
     rows: u32,
     rows_per_subarray: u32,
-    /// Accumulated effective disturbance per row since its last restore.
-    pressure: Vec<f64>,
-    /// Rows already recorded as flipped (suppress duplicates until restored).
-    flipped: Vec<bool>,
-    /// Restore-clock value at which `pressure[i]`/`flipped[i]` were last
-    /// materialized (lazy mode).
-    row_stamp: Vec<u64>,
-    /// Monotone restore clock: bumped by every deferred restore.
-    clock: u64,
-    /// Clock value of the latest `restore_all`.
-    all_stamp: u64,
-    /// Block granule for deferred `restore_block` stamps (0 = not yet
-    /// fixed; adopts the first aligned block size it sees).
-    block_size: u32,
-    /// Clock value of the latest deferred restore covering each granule.
-    block_stamp: Vec<u64>,
-    /// Hot-row index: every row with a possibly-nonzero accumulator is in
-    /// here exactly once (lazy mode), so `hottest()` skips untouched rows.
-    hot: Vec<u32>,
-    in_hot: Vec<bool>,
-    /// Eager reference mode: restores zero immediately, `hottest()` scans
-    /// every row — the pre-optimization implementation, kept for
-    /// differential testing.
+    /// Per-row state, one page per subarray, allocated on first deposit.
+    state: Paged<RowState>,
+    clock: RestoreClock,
+    /// Eager reference mode: restores zero immediately — the
+    /// pre-optimization implementation, kept for differential testing.
     force_eager: bool,
     flips: Vec<BitFlip>,
     acts_seen: u64,
@@ -89,8 +131,8 @@ impl HammerLedger {
     }
 
     /// Creates a ledger in eager reference mode: every restore is applied
-    /// immediately and `hottest()` scans all rows. Must be observationally
-    /// bit-identical to the default lazy mode.
+    /// immediately. Must be observationally bit-identical to the default
+    /// lazy mode.
     pub fn new_eager(rows: u32, rows_per_subarray: u32, params: RhParams) -> Self {
         Self::with_mode(rows, rows_per_subarray, params, true)
     }
@@ -102,15 +144,8 @@ impl HammerLedger {
             params,
             rows,
             rows_per_subarray,
-            pressure: vec![0.0; rows as usize],
-            flipped: vec![false; rows as usize],
-            row_stamp: vec![0; rows as usize],
-            clock: 0,
-            all_stamp: 0,
-            block_size: 0,
-            block_stamp: Vec::new(),
-            hot: Vec::new(),
-            in_hot: vec![false; rows as usize],
+            state: Paged::new(rows, rows_per_subarray),
+            clock: RestoreClock::default(),
             force_eager,
             flips: Vec::new(),
             acts_seen: 0,
@@ -127,28 +162,9 @@ impl HammerLedger {
         self.force_eager
     }
 
-    /// Clock value of the newest deferred restore covering `i`.
-    #[inline]
-    fn restored_at(&self, i: usize) -> u64 {
-        let mut at = self.all_stamp;
-        if self.block_size != 0 {
-            let b = i / self.block_size as usize;
-            if b < self.block_stamp.len() && self.block_stamp[b] > at {
-                at = self.block_stamp[b];
-            }
-        }
-        at
-    }
-
-    /// Applies any deferred restore covering row `i` to its physical state.
-    #[inline]
-    fn resolve(&mut self, i: usize) {
-        let at = self.restored_at(i);
-        if at > self.row_stamp[i] {
-            self.pressure[i] = 0.0;
-            self.flipped[i] = false;
-            self.row_stamp[i] = at;
-        }
+    /// Subarrays whose rows have been materialized so far.
+    pub fn subarrays_touched(&self) -> usize {
+        self.state.pages_allocated()
     }
 
     /// Records an activation of `row` (DA). `_cycle` tags flips for reports.
@@ -159,50 +175,61 @@ impl HammerLedger {
     pub fn on_activate(&mut self, row: u32, _cycle: u64) {
         assert!(row < self.rows, "row {row} out of range");
         self.acts_seen += 1;
+        let rps = self.rows_per_subarray;
+        let sa_lo = row - row % rps;
+        let idx = row - sa_lo;
+        let h_cnt = self.params.h_cnt as f64;
+        let at_act = self.acts_seen;
+        let clock = &self.clock;
+        let flips = &mut self.flips;
+        let page = self.state.materialize_page(row / rps);
         // Activation restores the aggressor row itself.
-        self.restore(row);
-        let sa = row / self.rows_per_subarray;
-        let sa_lo = sa * self.rows_per_subarray;
-        let sa_hi = sa_lo + self.rows_per_subarray; // exclusive
+        page[idx as usize] = RowState {
+            pressure: 0.0,
+            stamp: clock.now,
+        };
+        let mut deposit = |i: u32, w: f64| {
+            let victim = sa_lo + i;
+            let s = &mut page[i as usize];
+            let at = clock.restored_at(victim);
+            if at > s.stamp {
+                *s = RowState {
+                    pressure: 0.0,
+                    stamp: at,
+                };
+            }
+            let before = s.pressure;
+            s.pressure += w;
+            if before < h_cnt && s.pressure >= h_cnt {
+                flips.push(BitFlip { victim, at_act });
+            }
+        };
         for d in 1..=self.params.blast_radius {
             let w = self.params.weight(d);
             // Victim below.
-            if row >= sa_lo + d {
-                self.deposit(row - d, w);
+            if idx >= d {
+                deposit(idx - d, w);
             }
             // Victim above.
-            if row + d < sa_hi {
-                self.deposit(row + d, w);
+            if idx + d < rps {
+                deposit(idx + d, w);
             }
-        }
-    }
-
-    fn deposit(&mut self, victim: u32, w: f64) {
-        let i = victim as usize;
-        self.resolve(i);
-        self.pressure[i] += w;
-        if !self.force_eager && !self.in_hot[i] {
-            self.in_hot[i] = true;
-            self.hot.push(victim);
-        }
-        if self.pressure[i] >= self.params.h_cnt as f64 && !self.flipped[i] {
-            self.flipped[i] = true;
-            self.flips.push(BitFlip {
-                victim,
-                at_act: self.acts_seen,
-            });
         }
     }
 
     /// Restores `row` (refresh / TRR / incremental refresh / own ACT):
-    /// clears its accumulator and re-arms flip detection.
+    /// clears its accumulator and re-arms flip detection. A no-op for a
+    /// row whose subarray was never touched.
     pub fn restore(&mut self, row: u32) {
-        let i = row as usize;
-        self.pressure[i] = 0.0;
-        self.flipped[i] = false;
-        // Supersede any pending deferred restore (they all zero too, so
-        // this only saves the resolve work later).
-        self.row_stamp[i] = self.clock;
+        let now = self.clock.now;
+        if let Some(s) = self.state.get_mut(row) {
+            // Supersede any pending deferred restore (they all zero too,
+            // so this only saves the resolve work later).
+            *s = RowState {
+                pressure: 0.0,
+                stamp: now,
+            };
+        }
     }
 
     /// Restores a contiguous block of rows (one REF command's coverage).
@@ -225,22 +252,23 @@ impl HammerLedger {
             self.restore_all();
             return;
         }
+        let c = &mut self.clock;
         // Adopt the first aligned granule we see as the block size.
-        if self.block_size == 0 && count > 0 && start.is_multiple_of(count) {
-            self.block_size = count;
+        if c.block_size == 0 && count > 0 && start.is_multiple_of(count) {
+            c.block_size = count;
             let granules = (self.rows as usize).div_ceil(count as usize);
-            self.block_stamp = vec![0; granules];
+            c.blocks = vec![0; granules];
         }
-        let bs = self.block_size;
+        let bs = c.block_size;
         if bs != 0
             && start.is_multiple_of(bs)
             && ((end - start).is_multiple_of(bs) || end == self.rows)
         {
-            self.clock += 1;
+            c.now += 1;
             let first = (start / bs) as usize;
             let last = (end as usize).div_ceil(bs as usize);
             for b in first..last {
-                self.block_stamp[b] = self.clock;
+                c.blocks[b] = c.now;
             }
         } else {
             // Irregular span: restore eagerly (rare; tests and ad-hoc
@@ -254,11 +282,12 @@ impl HammerLedger {
     /// Restores every row (a full refresh window has elapsed).
     pub fn restore_all(&mut self) {
         if self.force_eager {
-            self.pressure.iter_mut().for_each(|p| *p = 0.0);
-            self.flipped.iter_mut().for_each(|f| *f = false);
+            for page in self.state.pages_mut() {
+                page.iter_mut().for_each(|s| s.pressure = 0.0);
+            }
         } else {
-            self.clock += 1;
-            self.all_stamp = self.clock;
+            self.clock.now += 1;
+            self.clock.all = self.clock.now;
         }
     }
 
@@ -273,38 +302,27 @@ impl HammerLedger {
     }
 
     /// Current accumulated disturbance of `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
     pub fn pressure(&self, row: u32) -> f64 {
-        let i = row as usize;
-        if self.restored_at(i) > self.row_stamp[i] {
-            0.0
-        } else {
-            self.pressure[i]
-        }
+        self.clock.effective(row, self.state.get(row))
     }
 
     /// The highest-pressure row and its accumulator value.
     ///
     /// Ties break to the highest row index, and an all-zero ledger reports
-    /// the last row — exactly the `Iterator::max_by` behaviour of the
-    /// original full scan, which the hot-index path must replicate.
+    /// the last row — the `Iterator::max_by` behaviour of a full scan.
+    /// Only the pages that exist are scanned: every other row reads zero.
     pub fn hottest(&self) -> (u32, f64) {
-        if self.force_eager {
-            let (i, p) = self
-                .pressure
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("pressure is never NaN"))
-                .expect("ledger has rows");
-            return (i as u32, *p);
-        }
-        // Only rows in the hot index can have nonzero effective pressure;
-        // everything else ties at 0.0, where the full scan would settle on
-        // the last row.
         let mut best = (self.rows - 1, 0.0f64);
-        for &r in &self.hot {
-            let p = self.pressure(r);
-            if p > best.1 || (p == best.1 && r > best.0) {
-                best = (r, p);
+        for (first, page) in self.state.pages() {
+            for (r, &s) in (first..).zip(page) {
+                let p = self.clock.effective(r, s);
+                if p > best.1 || (p == best.1 && r > best.0) {
+                    best = (r, p);
+                }
             }
         }
         best
@@ -513,9 +531,25 @@ mod tests {
     }
 
     #[test]
+    fn pages_follow_touched_subarrays() {
+        let mut l = ledger();
+        assert_eq!(l.subarrays_touched(), 0);
+        // A restore of an untouched subarray allocates nothing.
+        l.restore(40);
+        l.restore_block(0, 64);
+        assert_eq!(l.subarrays_touched(), 0);
+        assert_eq!(l.hottest(), (63, 0.0));
+        // An ACT touches exactly its own subarray's page.
+        l.on_activate(20, 0);
+        assert_eq!(l.subarrays_touched(), 1);
+        assert_eq!(l.pressure(19), 1.0);
+        assert_eq!(l.pressure(40), 0.0);
+    }
+
+    #[test]
     fn hottest_ties_break_to_highest_index_like_full_scan() {
-        // Rows 7 and 9 tie; the eager full scan (Iterator::max_by) keeps
-        // the last maximum, so the hot-index path must report row 9.
+        // Rows 7 and 9 tie; a full scan (Iterator::max_by) keeps the last
+        // maximum, so the page scan must report row 9.
         let mut lazy = ledger();
         let mut eager = HammerLedger::new_eager(64, 16, RhParams::new(100, 3));
         for _ in 0..10 {

@@ -20,6 +20,8 @@
 //!   discrete-event components.
 //! * [`calendar`] — a lazy-deletion event calendar (generation-stamped
 //!   per-index timers) for incremental schedulers.
+//! * [`paged`] — fixed-length arrays whose pages are allocated on first
+//!   write, for per-row state that is zero on rows a run never touches.
 //! * [`ring`] — a bounded, drop-counting append log for cheap always-on
 //!   recorders (command traces, scheduler debugging).
 //! * [`profiler`] — feature-gated hot-path phase timing (`profiler`
@@ -45,6 +47,7 @@
 
 pub mod calendar;
 pub mod events;
+pub mod paged;
 pub mod profiler;
 pub mod ring;
 pub mod rng;
@@ -52,6 +55,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::EventCalendar;
+pub use paged::Paged;
 pub use profiler::{Phase, PhaseProfile, PhaseTimer};
 pub use ring::RingLog;
 pub use rng::{SplitMix64, Xoshiro256};

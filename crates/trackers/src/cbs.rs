@@ -32,7 +32,8 @@ impl CounterSummary {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CbS needs at least one counter");
         CounterSummary {
-            entries: HashMap::with_capacity(capacity),
+            // Grows with the keys observed, up to `capacity`.
+            entries: HashMap::new(),
             capacity,
             total: 0,
         }

@@ -39,7 +39,8 @@ impl MisraGries {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "Misra-Gries needs at least one counter");
         MisraGries {
-            entries: HashMap::with_capacity(capacity),
+            // Grows with the keys observed, up to `capacity`.
+            entries: HashMap::new(),
             capacity,
             spillover: 0,
             total: 0,

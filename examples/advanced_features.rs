@@ -103,7 +103,7 @@ fn main() {
         bank.note_activate(i % 512);
         bank.on_rfm();
     }
-    let img = rowimage::encode(bank.table(0));
+    let img = rowimage::encode(bank.table(0).expect("200 RFMs shuffled subarray 0"));
     println!(
         "subarray mapping after 200 shuffles encodes to {} bytes (row budget 1024); \
          decode + checksum: {}",
