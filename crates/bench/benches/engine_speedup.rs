@@ -4,8 +4,8 @@
 //!
 //! 1. **engine fast paths** — serial sweep on the reference engine
 //!    ([`run_uncached`]: remap-epoch cache defeated, full-bank scan and
-//!    frontier recompute forced, eager Row Hammer ledger — i.e. the
-//!    pre-optimization data plane) vs the fast engine, identical results
+//!    frontier recompute forced — i.e. the pre-optimization scheduler)
+//!    vs the fast engine, identical results
 //!    required;
 //! 2. **parallel sweep runner** — the cached sweep on one thread vs
 //!    [`scaling_threads`] workers (`SHADOW_BENCH_THREADS` override),

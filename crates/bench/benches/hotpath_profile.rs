@@ -3,9 +3,8 @@
 //! 12-cell fig8-shaped sweep slice `engine_speedup` uses:
 //!
 //! 1. **fast engine** — the default `Engine::Fast`: incremental per-bank
-//!    event calendar over the memoized frontier (plus the lazy Row Hammer
-//!    ledger, row-indexed FR-FCFS, batched PRINCE keystream, and
-//!    translation cache) — the headline
+//!    event calendar over the memoized frontier (plus the batched PRINCE
+//!    keystream and translation cache) — the headline
 //!    `sim_cycles_per_sec.serial_calendar` number;
 //! 2. **reference engine** — `Engine::Reference`: every runtime-switchable
 //!    fast path defeated, measured **interleaved** with leg 1 rep for rep

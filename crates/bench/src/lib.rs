@@ -513,8 +513,9 @@ pub fn run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport 
 
 /// Like [`run`] but on [`Engine::Reference`], the pre-optimization engine
 /// with every runtime-switchable fast path defeated: a translation per
-/// lookup, the full O(total banks) scan with no frontier memo, eager Row
-/// Hammer ledgers, and the linear FR-FCFS queue walk. The table-driven
+/// lookup and the full O(total banks) scan with no frontier memo. The
+/// FR-FCFS queue walk and the Row Hammer ledgers are the same code on
+/// both engines. The table-driven
 /// PRINCE core has no runtime switch — it is pinned to the published test
 /// vectors instead. Must produce a report identical to [`run`]; the
 /// determinism tests and the engine-speedup artifact both lean on that.

@@ -1,12 +1,11 @@
 //! Fidelity gates for the engine fast paths.
 //!
 //! The remap-epoch translation cache, the O(active-bank) scheduler, the
-//! memoized frontier, the lazy Row Hammer ledger, and the parallel sweep
-//! runner are pure performance work: none may change a single simulated
-//! outcome. These tests pin that, field for field, against the reference
-//! engine ([`run_uncached`]: translate-every-time, the original full-bank
-//! scan with per-bank frontier recompute, the linear FR-FCFS walk, and
-//! the eager ledger) on runs
+//! memoized frontier, and the parallel sweep runner are pure performance
+//! work: none may change a single simulated outcome. These tests pin
+//! that, field for field, against the reference engine
+//! ([`run_uncached`]: translate-every-time, the original full-bank scan
+//! with per-bank frontier recompute) on runs
 //! where the fast paths are actually exercised — SHADOW and RRS remap
 //! rows *mid-run*, so a stale cache entry would steer FR-FCFS at the
 //! first shuffle or swap.
@@ -231,22 +230,23 @@ fn trace_recorder_does_not_change_outcomes() {
     }
 }
 
-/// The lazy stamp-based Row Hammer ledger (fast engine) must equal the
-/// eager ledger (reference engine) on schemes that lean on every ledger
-/// entry point: SHADOW's shuffles deposit + restore, RRS swaps restore
-/// pairs, PARA's probabilistic refreshes restore single rows, and refresh
-/// sweeps drive the aligned `restore_block` fast path everywhere.
+/// The fast engine must equal the reference engine on schemes that lean
+/// on every Row Hammer ledger entry point and churn the remap epoch:
+/// SHADOW's shuffles deposit + restore, RRS swaps restore pairs, PARA's
+/// probabilistic refreshes restore single rows, and refresh sweeps drive
+/// `restore_block` everywhere. Both engines share the ledger, so this
+/// pins the scheduler and translation cache around it.
 #[test]
 fn lazy_ledger_matches_eager_reference() {
     for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Para] {
-        let lazy = run(small_cfg(), "random-stream", scheme);
-        let mut eager_cfg = small_cfg();
-        eager_cfg.engine = Engine::Reference;
-        let eager = run(eager_cfg, "random-stream", scheme);
+        let fast = run(small_cfg(), "random-stream", scheme);
+        let mut reference_cfg = small_cfg();
+        reference_cfg.engine = Engine::Reference;
+        let reference = run(reference_cfg, "random-stream", scheme);
         assert_eq!(
-            lazy,
-            eager,
-            "lazy ledger changed a {} outcome",
+            fast,
+            reference,
+            "fast engine diverged from reference on a ledger-heavy {} run",
             scheme.name()
         );
     }

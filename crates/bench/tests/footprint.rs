@@ -67,7 +67,10 @@ const MB: usize = 1 << 20;
 const BUILD_BUDGET: usize = 2 * MB;
 
 /// Peak live bytes over a 2k-request spec-low cell, build included.
-const CELL_BUDGET: usize = 16 * MB;
+/// Every scheme peaks between 0.8 and 1.4 MiB; an array sized to the
+/// whole system, such as one `u64` per REF granule per bank (~9 MiB),
+/// does not fit.
+const CELL_BUDGET: usize = 4 * MB;
 
 const SCHEMES: [Scheme; 9] = [
     Scheme::Baseline,

@@ -2,10 +2,13 @@
 //! never a panic.
 //!
 //! A deterministic mutation loop takes every checked-in `recipes/*.toml`,
-//! inserts, deletes and splices bytes, and feeds each mutant through
-//! [`Recipe::parse`] and, when it parses, [`Recipe::expand`]. Either step
-//! panicking fails the test with the offending mutant printed. The mutant
-//! count honors `PROPTEST_CASES` (default 4096 per recipe).
+//! plus each of them lowered to a JSON recipe, inserts, deletes and
+//! splices bytes, and feeds each mutant through [`Recipe::parse`] and,
+//! when it parses, [`Recipe::expand`]. The JSON seeds drive `Json::parse`
+//! and [`Recipe::from_json`] over arbitrary bytes the way the TOML seeds
+//! drive the TOML lowering. Any step panicking fails the test with the
+//! offending mutant printed. The mutant count honors `PROPTEST_CASES`
+//! (default 4096 per seed).
 //!
 //! Fixed regression inputs pin the scenario axes that used to slip past
 //! `parse` and then panic (or silently wrap) in `expand`.
@@ -13,7 +16,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use shadow_campaign::recipe::Recipe;
+use shadow_campaign::recipe::{self, Recipe};
 
 /// SplitMix64: a tiny self-contained generator, so the mutation stream is
 /// fixed by its seed alone.
@@ -86,6 +89,21 @@ fn seed_recipes() -> Vec<(String, Vec<u8>)> {
         .collect();
     out.sort();
     assert!(!out.is_empty(), "no recipes/*.toml to mutate");
+    let json: Vec<(String, Vec<u8>)> = out
+        .iter()
+        .map(|(name, bytes)| {
+            let text = std::str::from_utf8(bytes).expect("UTF-8 recipe");
+            let tree = recipe::toml_to_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let lowered = tree.to_json();
+            assert_eq!(
+                Recipe::parse(&lowered).is_ok(),
+                Recipe::parse(text).is_ok(),
+                "{name}: the JSON form must parse exactly when the TOML does"
+            );
+            (format!("{name} as JSON"), lowered.into_bytes())
+        })
+        .collect();
+    out.extend(json);
     out
 }
 

@@ -6,15 +6,16 @@
 //!
 //! 1. **fast** — [`Engine::Fast`], with the mitigation wrapped in
 //!    [`EpochCheck`] so any remap-epoch contract violation (the soundness
-//!    precondition of the translation cache and the row index) panics at
-//!    the offending call;
+//!    precondition of the translation cache) panics at the offending
+//!    call;
 //! 2. **retranslate** — [`Engine::Fast`] with the mitigation wrapped in
 //!    [`Retranslate`], which reports a fresh epoch on every query: the
-//!    event calendar and lazy ledger stay on while the translation cache
-//!    and row index rebuild at every lookup;
+//!    event calendar stays on while every lookup re-translates;
 //! 3. **reference** — [`Engine::Reference`]: the original O(total banks)
-//!    scan with no frontier memo, the linear FR-FCFS queue walk, eager
-//!    Row Hammer ledgers, and a translation per lookup.
+//!    scan with no frontier memo and a translation per lookup.
+//!
+//! All three find FR-FCFS hits with the same linear queue walk and build
+//! the same Row Hammer ledgers.
 //!
 //! Any divergence in [`SimReport`] or in the committed command stream
 //! between variants is an engine bug; any oracle violation in any variant

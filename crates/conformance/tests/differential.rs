@@ -72,7 +72,7 @@ fn prac_era_cells_agree_across_engine_variants() {
 ///
 /// * **remap churn**: SHADOW's intra-subarray shuffle and RRS's row swaps
 ///   move the remap epoch mid-run, so memoized frontiers go stale via
-///   `touch_bank`/seq bumps while the row index re-keys;
+///   `touch_bank`/seq bumps while cached translations age out;
 /// * **ABO recovery drains**: PRAC / PRACtical alert storms arm per-scope
 ///   recovery RFM debt, flipping the hoisted rank and bank gates every
 ///   visit must re-check.

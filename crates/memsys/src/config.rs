@@ -23,17 +23,18 @@ pub enum PagePolicy {
 /// Simulated outcomes — reports and command traces — are bit-identical
 /// either way (pinned by the determinism suite and the conformance
 /// fuzzer); the engines differ only in how much work they do to decide.
+/// Both find FR-FCFS row hits with the same linear queue walk and build
+/// the same Row Hammer ledgers, so they differ in two things only: the
+/// event calendar versus the full scan, and the `Retranslate` wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Every fast path on: the event calendar over memoized per-bank
-    /// frontiers, row-indexed FR-FCFS hit selection, the lazy Row Hammer
-    /// ledger, and the remap-epoch translation cache.
+    /// frontiers and the remap-epoch translation cache.
     #[default]
     Fast,
     /// Every fast path off: the full O(total banks) scan recomputing every
-    /// frontier each pass, the linear FR-FCFS queue walk, eager ledgers,
-    /// and a translation per lookup (the mitigation is wrapped in
-    /// [`Retranslate`](shadow_mitigations::Retranslate)).
+    /// frontier each pass, and a translation per lookup (the mitigation is
+    /// wrapped in [`Retranslate`](shadow_mitigations::Retranslate)).
     Reference,
 }
 

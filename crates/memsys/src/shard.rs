@@ -49,7 +49,7 @@
 //! event fired at `now`, merged with `pending` in ascending bank order)
 //! come off the O(active banks) scan.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use shadow_dram::command::DramCommand;
 use shadow_dram::geometry::BankId;
@@ -87,13 +87,6 @@ pub(crate) struct QueuedReq {
     pub ready_at: Cycle,
     /// Whether the mitigation has been consulted for this request's ACT.
     pub act_charged: bool,
-    /// Per-bank admission order, assigned by [`ChannelShard::admit`]
-    /// (constructors pass a placeholder `0`). Strictly increasing along
-    /// the queue — admissions only `push_back` — which is what lets the
-    /// row index recover a queue position from a seq number by binary
-    /// search, and makes "front of a row's seq bucket" the FR-FCFS oldest
-    /// hit.
-    pub seq: u64,
     /// The translated DA row, valid while the bank sits at `cached_epoch`.
     pub cached_da: u32,
     /// The bank's remap epoch when `cached_da` was computed ([`NO_EPOCH`]
@@ -116,51 +109,6 @@ impl QueuedReq {
             self.cached_epoch = epoch;
         }
         self.cached_da
-    }
-}
-
-/// Per-bank device-row index over the bank's queue: DA row → the seq
-/// numbers of the queued requests targeting it, in queue (= seq) order.
-/// Turns the FR-FCFS open-row hit scan — a linear walk translating every
-/// queued request per bank visit — into one hash probe plus a binary
-/// search for the hit's queue position.
-///
-/// Consistency is keyed on the bank's remap epoch, exactly like the
-/// per-request translation cache: a map built at epoch `e` is exact while
-/// the mitigation reports `e` (translate is contractually pure), and a
-/// remap bump ages it out by key mismatch on the next lookup. Admissions
-/// mark it dirty wholesale ([`NO_EPOCH`]) — admission does not translate,
-/// so it cannot extend the map — and the CAS dequeue path pops the served
-/// seq from its bucket. The
-/// reference engine never builds the index, keeping the original linear
-/// scan alive for the differential fuzzer's reference leg.
-#[derive(Debug)]
-struct RowIndex {
-    /// The remap epoch the map reflects ([`NO_EPOCH`] = dirty).
-    epoch: u64,
-    map: HashMap<u32, VecDeque<u64>>,
-    /// Retired seq buckets, kept for reuse: rebuilds and bucket drains
-    /// would otherwise free and reallocate a `VecDeque` per distinct row
-    /// per admission wave — a steady allocator drumbeat across the ~2.3M
-    /// passes of a dense sweep. Capacity-only state; never observable.
-    pool: Vec<VecDeque<u64>>,
-}
-
-impl RowIndex {
-    fn new() -> Self {
-        RowIndex {
-            epoch: NO_EPOCH,
-            map: HashMap::new(),
-            pool: Vec::new(),
-        }
-    }
-
-    /// Empties the map, parking every bucket's allocation in the pool.
-    fn clear(&mut self) {
-        for (_, mut bucket) in self.map.drain() {
-            bucket.clear();
-            self.pool.push(bucket);
-        }
     }
 }
 
@@ -279,9 +227,8 @@ pub(crate) struct ChannelShard {
     /// Banks per rank.
     bpr: usize,
     page_policy: PagePolicy,
-    /// [`Engine::Fast`] runs the event calendar and finds FR-FCFS hits
-    /// through [`RowIndex`]; [`Engine::Reference`] runs the full scan and
-    /// finds them with the linear queue walk.
+    /// [`Engine::Fast`] runs the event calendar; [`Engine::Reference`]
+    /// runs the full scan.
     engine: Engine,
     /// Post-mitigation timing (tRCD extension, refresh multiplier applied).
     /// A copy of the device's set, fixed for the run.
@@ -291,10 +238,6 @@ pub(crate) struct ChannelShard {
     /// a run and restored afterwards.
     pub lane: Option<ChannelLane>,
     queues: Vec<VecDeque<QueuedReq>>,
-    /// One [`RowIndex`] per bank (unused by the reference engine).
-    row_index: Vec<RowIndex>,
-    /// Per-bank next admission seq (see [`QueuedReq::seq`]).
-    next_seq: Vec<u64>,
     pub ledgers: Vec<HammerLedger>,
     raa: Option<RaaCounters>,
     /// The mitigation's Alert Back-Off contract, captured once at system
@@ -434,8 +377,6 @@ impl ChannelShard {
             timing,
             lane: None,
             queues: (0..banks).map(|_| VecDeque::new()).collect(),
-            row_index: (0..banks).map(|_| RowIndex::new()).collect(),
-            next_seq: vec![0; banks],
             ledgers,
             raa,
             abo: None,
@@ -533,14 +474,7 @@ impl ChannelShard {
     }
 
     /// Admits one decoded request into local bank `local`'s queue.
-    pub fn admit(&mut self, local: usize, mut req: QueuedReq) {
-        req.seq = self.next_seq[local];
-        self.next_seq[local] += 1;
-        // Admission does not translate, so the row index cannot be
-        // extended here — mark it dirty; the next hit lookup rebuilds it in
-        // one pass over the queue (amortized: one translation per queued
-        // request, the same work a single linear scan did every visit).
-        self.row_index[local].epoch = NO_EPOCH;
+    pub fn admit(&mut self, local: usize, req: QueuedReq) {
         self.queues[local].push_back(req);
         self.active.insert(local);
         // Admission can move the bank's frontier earlier (a row hit behind
@@ -1187,26 +1121,15 @@ impl ChannelShard {
             return false;
         }
 
-        // Open row: serve a row hit (FR-FCFS) if present. The row index
-        // finds the oldest hit in O(1) expected — its seq buckets are in
-        // queue order, so the bucket front is exactly the request the
-        // linear reference scan's `position()` stops at.
+        // Open row: serve the oldest row hit (FR-FCFS) if present. Bank
+        // queues stay a few entries long, and each request caches its
+        // translation per remap epoch, so the walk is a few field compares.
         if let Some(open_da) = self.lane().open_row(bank) {
             let epoch = mit.remap_epoch(mit_bank);
             let tr = PhaseTimer::start_if::<PROF>(&mut self.profile);
-            let hit_idx = if self.engine == Engine::Reference {
-                self.queues[local]
-                    .iter_mut()
-                    .position(|r| r.da(mit_bank, epoch, mit) == open_da)
-            } else {
-                self.ensure_index(local, epoch, mit_bank, mit);
-                self.row_index[local].map.get(&open_da).map(|bucket| {
-                    let seq = *bucket.front().expect("row buckets are never left empty");
-                    let idx = self.queues[local].partition_point(|r| r.seq < seq);
-                    debug_assert_eq!(self.queues[local][idx].seq, seq, "row index out of sync");
-                    idx
-                })
-            };
+            let hit_idx = self.queues[local]
+                .iter_mut()
+                .position(|r| r.da(mit_bank, epoch, mit) == open_da);
             if PROF {
                 tr.stop(&mut self.profile, Phase::Translate);
             }
@@ -1220,20 +1143,6 @@ impl ChannelShard {
                 if t <= now {
                     let req = self.queues[local].remove(idx).expect("index valid");
                     self.queued -= 1;
-                    if self.row_index[local].epoch == epoch {
-                        // Keep the still-current index exact: pop the
-                        // served request's seq, dropping emptied buckets
-                        // so `contains_key` stays a hit predicate.
-                        let ridx = &mut self.row_index[local];
-                        let bucket = ridx.map.get_mut(&open_da).expect("dequeued row is indexed");
-                        let popped = bucket.pop_front();
-                        debug_assert_eq!(popped, Some(req.seq), "row index out of sync");
-                        if bucket.is_empty() {
-                            if let Some(b) = ridx.map.remove(&open_da) {
-                                ridx.pool.push(b);
-                            }
-                        }
-                    }
                     let cmd = if write {
                         DramCommand::Wr { bank }
                     } else {
@@ -1340,33 +1249,6 @@ impl ChannelShard {
         false
     }
 
-    /// Rebuilds local bank `local`'s row index unless it is already
-    /// current for `epoch`: one pass over the queue in seq order, caching
-    /// each request's translation exactly as the linear scan would (the
-    /// per-request cache and the index share the epoch key, so neither
-    /// can go stale without the other). Amortized cost: admissions and
-    /// remap bumps each buy one rebuild, against an O(1) probe per bank
-    /// visit afterwards.
-    fn ensure_index(&mut self, local: usize, epoch: u64, mit_bank: usize, mit: &mut AnyMitigation) {
-        if self.row_index[local].epoch == epoch {
-            return;
-        }
-        let idx = &mut self.row_index[local];
-        idx.clear();
-        for r in self.queues[local].iter_mut() {
-            let da = r.da(mit_bank, epoch, mit);
-            match idx.map.entry(da) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push_back(r.seq),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let mut bucket = idx.pool.pop().unwrap_or_default();
-                    bucket.push_back(r.seq);
-                    e.insert(bucket);
-                }
-            }
-        }
-        idx.epoch = epoch;
-    }
-
     /// The `now`-independent part of a bank's earliest-event time: every
     /// lane `earliest_*` is `now.max(raw)` with `raw` a pure function of
     /// committed state, so evaluating at `now = 0` yields `raw` itself. The
@@ -1399,14 +1281,9 @@ impl ChannelShard {
             let mit_bank = self.bank_base + local;
             let epoch = mit.remap_epoch(mit_bank);
             let tr = PhaseTimer::start(&mut self.profile);
-            let has_hit = if self.engine == Engine::Reference {
-                self.queues[local]
-                    .iter_mut()
-                    .any(|r| r.da(mit_bank, epoch, mit) == open_da)
-            } else {
-                self.ensure_index(local, epoch, mit_bank, mit);
-                self.row_index[local].map.contains_key(&open_da)
-            };
+            let has_hit = self.queues[local]
+                .iter_mut()
+                .any(|r| r.da(mit_bank, epoch, mit) == open_da);
             tr.stop(&mut self.profile, Phase::Translate);
             if has_hit {
                 (
@@ -1795,8 +1672,8 @@ mod tests {
         shard
     }
 
-    /// Drives two engine twins (the fast calendar with the row index, the
-    /// reference full scan with the linear FR-FCFS walk) through one
+    /// Drives two engine twins (the fast event calendar and the reference
+    /// full scan; both walk the queue for FR-FCFS hits) through one
     /// identical randomized sequence of admissions, passes, and `next_min`
     /// probes, asserting lock-step agreement on every observable: the
     /// issued command stream, CAS completions, progress flags, and queue
@@ -1844,7 +1721,6 @@ mod tests {
                         act_charged: false,
                         cached_da: 0,
                         cached_epoch: NO_EPOCH,
-                        seq: 0,
                     };
                     let local = rng.gen_index(banks);
                     for s in shards.iter_mut() {
@@ -1957,7 +1833,6 @@ mod tests {
                         act_charged: false,
                         cached_da: 0,
                         cached_epoch: NO_EPOCH,
-                        seq: 0,
                     },
                 );
             }

@@ -93,7 +93,7 @@ impl MemSystem {
     /// The mitigation's tRCD extension, refresh-rate multiplier and extra
     /// DA rows are applied here, and so is [`SystemConfig::engine`]:
     /// [`Engine::Reference`] wraps the mitigation in [`Retranslate`] and
-    /// builds eager ledgers and full-scan shards.
+    /// builds full-scan shards. Both engines build the same ledgers.
     ///
     /// # Errors
     ///
@@ -112,8 +112,7 @@ impl MemSystem {
                 "need at least one core (pass one RequestStream per simulated core)",
             ));
         }
-        let reference = cfg.engine == Engine::Reference;
-        if reference {
+        if cfg.engine == Engine::Reference {
             // A fresh remap epoch per query: every cached translation is
             // stale, so every lookup re-translates.
             mitigation = Box::new(Retranslate::new(mitigation));
@@ -151,17 +150,8 @@ impl MemSystem {
         } else {
             None
         };
-        let make_ledger = || {
-            if reference {
-                HammerLedger::new_eager(
-                    phys_geo.rows_per_bank(),
-                    phys_geo.rows_per_subarray,
-                    cfg.rh,
-                )
-            } else {
-                HammerLedger::new(phys_geo.rows_per_bank(), phys_geo.rows_per_subarray, cfg.rh)
-            }
-        };
+        let make_ledger =
+            || HammerLedger::new(phys_geo.rows_per_bank(), phys_geo.rows_per_subarray, cfg.rh);
         // `Mitigation::abo` is captured once, here at assembly.
         let abo_spec = mitigation.abo();
         let shards: Vec<ChannelShard> = (0..channels)
@@ -286,7 +276,6 @@ impl MemSystem {
                         act_charged: false,
                         cached_da: 0,
                         cached_epoch: NO_EPOCH,
-                        seq: 0,
                     },
                 );
                 progressed = true;

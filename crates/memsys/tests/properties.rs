@@ -142,18 +142,18 @@ fn scheduling_engines_agree_on_random_workloads() {
     }
 }
 
-/// Row-indexed FR-FCFS equivalence: for random workloads under the two
+/// Remap-churn FR-FCFS equivalence: for random workloads under the two
 /// remap-heavy schemes — SHADOW (RFM-triggered intra-subarray shuffles)
 /// and RRS (channel-blocking row swaps), both of which bump the remap
-/// epoch while requests sit queued — the per-bank row index must select
-/// the *identical* request the original linear queue scan selects, at
+/// epoch while requests sit queued — the fast engine (event calendar,
+/// per-request translation cache) must select the *identical* request the
+/// reference engine (full scan, a translation per lookup) selects, at
 /// every single decision. Random streams, MLP windows, page policies, and
 /// posted-write settings generate arbitrary enqueue/dequeue interleavings;
 /// aggressive RAAIMT (SHADOW) and swap thresholds (RRS) make the epoch
-/// bumps land mid-queue, exactly where a stale index would pick a request
-/// whose cached translation no longer matches. Reports *and* command
-/// traces must be bit-identical between the fast engine (row index) and
-/// the reference engine (linear scan). Case count honors `PROPTEST_CASES`.
+/// bumps land mid-queue, exactly where a stale cached translation would
+/// steer the hit walk to the wrong request. Reports *and* command traces
+/// must be bit-identical. Case count honors `PROPTEST_CASES`.
 #[test]
 fn row_index_matches_linear_frfcfs_scan() {
     let cases: u64 = std::env::var("PROPTEST_CASES")
@@ -216,16 +216,16 @@ fn row_index_matches_linear_frfcfs_scan() {
             let trace = sys.take_trace().expect("tracing enabled");
             (report, trace)
         };
-        let (indexed, indexed_trace) = run_variant(Engine::Fast);
-        let (linear, linear_trace) = run_variant(Engine::Reference);
-        assert!(indexed.total_completed() >= cfg.target_requests);
+        let (fast, fast_trace) = run_variant(Engine::Fast);
+        let (reference, reference_trace) = run_variant(Engine::Reference);
+        assert!(fast.total_completed() >= cfg.target_requests);
         assert_eq!(
-            indexed, linear,
-            "report: indexed vs linear FR-FCFS, shadow={use_shadow} kinds {kinds:?} seed {seed:#x}"
+            fast, reference,
+            "report: fast vs reference under remap churn, shadow={use_shadow} kinds {kinds:?} seed {seed:#x}"
         );
         assert_eq!(
-            indexed_trace, linear_trace,
-            "trace: indexed vs linear FR-FCFS, shadow={use_shadow} kinds {kinds:?} seed {seed:#x}"
+            fast_trace, reference_trace,
+            "trace: fast vs reference under remap churn, shadow={use_shadow} kinds {kinds:?} seed {seed:#x}"
         );
     }
 }

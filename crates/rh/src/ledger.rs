@@ -15,36 +15,26 @@
 //! ## Paged rows
 //!
 //! A row the run never touches holds zero disturbance, so the ledger keeps
-//! its per-row state in one page per subarray
+//! its per-row accumulators in one page per subarray
 //! ([`Paged`](shadow_sim::Paged)), allocated on the first ACT into that
 //! subarray. A victim always shares its aggressor's subarray, so one ACT
 //! touches one page. A row whose page does not exist reads as zero, and a
 //! restore of such a row is a no-op. Memory follows the subarrays a run
-//! touches (16 B per row of a touched subarray), not the size of the bank.
+//! touches (8 B per row of a touched subarray), not the size of the bank.
 //!
-//! ## Lazy restores
+//! ## Restores
 //!
-//! Restores only ever *zero* state, so they commute with each other and
-//! can be deferred until the next time a row is touched. The ledger
-//! exploits this: [`restore_all`](HammerLedger::restore_all) and aligned
-//! [`restore_block`](HammerLedger::restore_block) calls are O(1) stamp
-//! bumps on a monotone restore clock, and each row records the clock value
-//! at which its accumulator was last materialized. A row whose stamp is
-//! older than the newest restore covering it reads as zero; the zeroing is
-//! applied physically on the next deposit. Because a row's pressure is
-//! always the same left-to-right `f64` sum of the deposits since its last
-//! covering restore, the lazy ledger is *bit-identical* to the eager one —
-//! pressures, flip records, flip order, and `at_act` tags all match.
+//! Every restore zeroes its rows at once, in the pages that exist: a REF's
+//! [`restore_block`](HammerLedger::restore_block) clears the slice of the
+//! one or two pages its rows fall in, and
+//! [`restore_all`](HammerLedger::restore_all) clears every allocated page.
+//! A row's pressure is therefore the left-to-right `f64` sum of the
+//! deposits since its last restore.
 //!
 //! A row needs no "already flipped" flag: pressure only grows between
 //! restores and starts below `H_cnt` (which is positive), so a row has
 //! flipped since its last restore exactly when its pressure is at or above
 //! `H_cnt`, and a flip is recorded on the deposit that crosses it.
-//!
-//! A construction-time eager mode ([`HammerLedger::new_eager`]) applies
-//! every restore at once (to the pages that exist) as a differential
-//! reference; the equivalence tests below and the conformance fuzzer's
-//! `eager-ledger` leg pin lazy == eager.
 
 use crate::model::RhParams;
 use shadow_sim::Paged;
@@ -58,62 +48,15 @@ pub struct BitFlip {
     pub at_act: u64,
 }
 
-/// One row's disturbance state.
-#[derive(Debug, Clone, Copy, Default)]
-struct RowState {
-    /// Accumulated effective disturbance since the last restore.
-    pressure: f64,
-    /// Restore-clock value at which `pressure` was last materialized.
-    stamp: u64,
-}
-
-/// The deferred-restore clock and the stamps it writes.
-#[derive(Debug, Clone, Default)]
-struct RestoreClock {
-    /// Monotone restore clock: bumped by every deferred restore.
-    now: u64,
-    /// Clock value of the latest `restore_all`.
-    all: u64,
-    /// Block granule for deferred `restore_block` stamps (0 = not yet
-    /// fixed; adopts the first aligned block size it sees).
-    block_size: u32,
-    /// Clock value of the latest deferred restore covering each granule.
-    blocks: Vec<u64>,
-}
-
-impl RestoreClock {
-    /// Clock value of the newest deferred restore covering `row`.
-    #[inline]
-    fn restored_at(&self, row: u32) -> u64 {
-        let block = row
-            .checked_div(self.block_size)
-            .and_then(|b| self.blocks.get(b as usize));
-        block.map_or(self.all, |&b| b.max(self.all))
-    }
-
-    /// `state`'s pressure with any deferred restore covering `row` applied.
-    #[inline]
-    fn effective(&self, row: u32, state: RowState) -> f64 {
-        if self.restored_at(row) > state.stamp {
-            0.0
-        } else {
-            state.pressure
-        }
-    }
-}
-
 /// Per-bank Row Hammer disturbance state.
 #[derive(Debug, Clone)]
 pub struct HammerLedger {
     params: RhParams,
     rows: u32,
     rows_per_subarray: u32,
-    /// Per-row state, one page per subarray, allocated on first deposit.
-    state: Paged<RowState>,
-    clock: RestoreClock,
-    /// Eager reference mode: restores zero immediately — the
-    /// pre-optimization implementation, kept for differential testing.
-    force_eager: bool,
+    /// Per-row accumulated disturbance since the last restore, one page
+    /// per subarray, allocated on first deposit.
+    pressure: Paged<f64>,
     flips: Vec<BitFlip>,
     acts_seen: u64,
 }
@@ -127,26 +70,13 @@ impl HammerLedger {
     /// Panics if `rows == 0`, `rows_per_subarray == 0`, or `rows` is not a
     /// multiple of `rows_per_subarray`.
     pub fn new(rows: u32, rows_per_subarray: u32, params: RhParams) -> Self {
-        Self::with_mode(rows, rows_per_subarray, params, false)
-    }
-
-    /// Creates a ledger in eager reference mode: every restore is applied
-    /// immediately. Must be observationally bit-identical to the default
-    /// lazy mode.
-    pub fn new_eager(rows: u32, rows_per_subarray: u32, params: RhParams) -> Self {
-        Self::with_mode(rows, rows_per_subarray, params, true)
-    }
-
-    fn with_mode(rows: u32, rows_per_subarray: u32, params: RhParams, force_eager: bool) -> Self {
         assert!(rows > 0 && rows_per_subarray > 0, "ledger needs rows");
         assert_eq!(rows % rows_per_subarray, 0, "rows must tile into subarrays");
         HammerLedger {
             params,
             rows,
             rows_per_subarray,
-            state: Paged::new(rows, rows_per_subarray),
-            clock: RestoreClock::default(),
-            force_eager,
+            pressure: Paged::new(rows, rows_per_subarray),
             flips: Vec::new(),
             acts_seen: 0,
         }
@@ -157,14 +87,9 @@ impl HammerLedger {
         &self.params
     }
 
-    /// Whether this ledger runs in the eager reference mode.
-    pub fn is_eager(&self) -> bool {
-        self.force_eager
-    }
-
     /// Subarrays whose rows have been materialized so far.
     pub fn subarrays_touched(&self) -> usize {
-        self.state.pages_allocated()
+        self.pressure.pages_allocated()
     }
 
     /// Records an activation of `row` (DA). `_cycle` tags flips for reports.
@@ -180,28 +105,19 @@ impl HammerLedger {
         let idx = row - sa_lo;
         let h_cnt = self.params.h_cnt as f64;
         let at_act = self.acts_seen;
-        let clock = &self.clock;
         let flips = &mut self.flips;
-        let page = self.state.materialize_page(row / rps);
+        let page = self.pressure.materialize_page(row / rps);
         // Activation restores the aggressor row itself.
-        page[idx as usize] = RowState {
-            pressure: 0.0,
-            stamp: clock.now,
-        };
+        page[idx as usize] = 0.0;
         let mut deposit = |i: u32, w: f64| {
-            let victim = sa_lo + i;
-            let s = &mut page[i as usize];
-            let at = clock.restored_at(victim);
-            if at > s.stamp {
-                *s = RowState {
-                    pressure: 0.0,
-                    stamp: at,
-                };
-            }
-            let before = s.pressure;
-            s.pressure += w;
-            if before < h_cnt && s.pressure >= h_cnt {
-                flips.push(BitFlip { victim, at_act });
+            let p = &mut page[i as usize];
+            let before = *p;
+            *p += w;
+            if before < h_cnt && *p >= h_cnt {
+                flips.push(BitFlip {
+                    victim: sa_lo + i,
+                    at_act,
+                });
             }
         };
         for d in 1..=self.params.blast_radius {
@@ -221,73 +137,22 @@ impl HammerLedger {
     /// clears its accumulator and re-arms flip detection. A no-op for a
     /// row whose subarray was never touched.
     pub fn restore(&mut self, row: u32) {
-        let now = self.clock.now;
-        if let Some(s) = self.state.get_mut(row) {
-            // Supersede any pending deferred restore (they all zero too,
-            // so this only saves the resolve work later).
-            *s = RowState {
-                pressure: 0.0,
-                stamp: now,
-            };
+        if let Some(p) = self.pressure.get_mut(row) {
+            *p = 0.0;
         }
     }
 
-    /// Restores a contiguous block of rows (one REF command's coverage).
-    ///
-    /// Aligned calls (the steady-state refresh pattern: `start` a multiple
-    /// of a fixed `count`) are O(1) deferred stamps; anything irregular
-    /// falls back to the eager per-row loop.
+    /// Restores a contiguous block of rows (one REF command's coverage),
+    /// clamped to the bank. Only the pages the block overlaps are touched.
     pub fn restore_block(&mut self, start: u32, count: u32) {
-        let end = (start + count).min(self.rows);
-        if start >= end {
-            return;
-        }
-        if self.force_eager {
-            for r in start..end {
-                self.restore(r);
-            }
-            return;
-        }
-        if start == 0 && end == self.rows {
-            self.restore_all();
-            return;
-        }
-        let c = &mut self.clock;
-        // Adopt the first aligned granule we see as the block size.
-        if c.block_size == 0 && count > 0 && start.is_multiple_of(count) {
-            c.block_size = count;
-            let granules = (self.rows as usize).div_ceil(count as usize);
-            c.blocks = vec![0; granules];
-        }
-        let bs = c.block_size;
-        if bs != 0
-            && start.is_multiple_of(bs)
-            && ((end - start).is_multiple_of(bs) || end == self.rows)
-        {
-            c.now += 1;
-            let first = (start / bs) as usize;
-            let last = (end as usize).div_ceil(bs as usize);
-            for b in first..last {
-                c.blocks[b] = c.now;
-            }
-        } else {
-            // Irregular span: restore eagerly (rare; tests and ad-hoc
-            // callers only).
-            for r in start..end {
-                self.restore(r);
-            }
-        }
+        self.pressure
+            .reset_range(start, start.saturating_add(count));
     }
 
     /// Restores every row (a full refresh window has elapsed).
     pub fn restore_all(&mut self) {
-        if self.force_eager {
-            for page in self.state.pages_mut() {
-                page.iter_mut().for_each(|s| s.pressure = 0.0);
-            }
-        } else {
-            self.clock.now += 1;
-            self.clock.all = self.clock.now;
+        for page in self.pressure.pages_mut() {
+            page.fill(0.0);
         }
     }
 
@@ -307,7 +172,7 @@ impl HammerLedger {
     ///
     /// Panics if `row` is out of range.
     pub fn pressure(&self, row: u32) -> f64 {
-        self.clock.effective(row, self.state.get(row))
+        self.pressure.get(row)
     }
 
     /// The highest-pressure row and its accumulator value.
@@ -317,9 +182,8 @@ impl HammerLedger {
     /// Only the pages that exist are scanned: every other row reads zero.
     pub fn hottest(&self) -> (u32, f64) {
         let mut best = (self.rows - 1, 0.0f64);
-        for (first, page) in self.state.pages() {
-            for (r, &s) in (first..).zip(page) {
-                let p = self.clock.effective(r, s);
+        for (first, page) in self.pressure.pages() {
+            for (r, &p) in (first..).zip(page) {
                 if p > best.1 || (p == best.1 && r > best.0) {
                     best = (r, p);
                 }
@@ -519,13 +383,13 @@ mod tests {
         for _ in 0..30 {
             l.on_activate(8, 0);
         }
-        l.restore_block(0, 16); // deferred stamp
+        l.restore_block(0, 16); // one REF's block
         for _ in 0..5 {
             l.on_activate(8, 0); // re-deposits on restored rows
         }
         assert_eq!(l.pressure(7), 5.0);
         assert_eq!(l.pressure(9), 5.0);
-        l.restore(7); // eager single restore after the stamp
+        l.restore(7); // single-row restore after the block
         assert_eq!(l.pressure(7), 0.0);
         assert_eq!(l.pressure(9), 5.0);
     }
@@ -550,13 +414,10 @@ mod tests {
     fn hottest_ties_break_to_highest_index_like_full_scan() {
         // Rows 7 and 9 tie; a full scan (Iterator::max_by) keeps the last
         // maximum, so the page scan must report row 9.
-        let mut lazy = ledger();
-        let mut eager = HammerLedger::new_eager(64, 16, RhParams::new(100, 3));
+        let mut l = ledger();
         for _ in 0..10 {
-            lazy.on_activate(8, 0);
-            eager.on_activate(8, 0);
+            l.on_activate(8, 0);
         }
-        assert_eq!(lazy.hottest(), (9, 10.0));
-        assert_eq!(lazy.hottest(), eager.hottest());
+        assert_eq!(l.hottest(), (9, 10.0));
     }
 }
