@@ -11,11 +11,13 @@
 //! * `SHADOW_BENCH_REQS` — completed-request target per simulation run
 //!   (default 60 000; raise for tighter confidence).
 //! * `SHADOW_BENCH_CORES` — cores per multiprogrammed mix (default 14).
+//! * `SHADOW_BENCH_TIME_SCALE` — down-scaling of window-relative
+//!   thresholds (default 1/16; see [`time_scale`]).
 //! * `SHADOW_BENCH_THREADS` — sweep worker threads (default and `0`:
 //!   available parallelism). Results are bit-identical at any thread
 //!   count: every cell is an independent simulation with its own fixed
-//!   seed, and [`run_cells`] returns results in cell order regardless of
-//!   which worker finished first.
+//!   seed, and [`run_parallel`] returns results in job order regardless
+//!   of which worker finished first.
 //! * `SHADOW_BENCH_WATCHDOG` — forward-progress watchdog window in
 //!   cycles for cells whose config leaves
 //!   `SystemConfig::watchdog_window` at 0 (default: off). A stalled
@@ -27,12 +29,12 @@
 //!   re-run, so an interrupted sweep resumes bit-identically (see
 //!   EXPERIMENTS.md "Failure handling & resume"). Retries and per-cell
 //!   deadlines are the recipe's `[campaign]` keys, not env knobs.
-//! * `SHADOW_BENCH_CELLS` — truncate [`engine_sweep_cells`] to its first
-//!   `N` cells (default and `0`: all 12). CI's smoke job sets `2` to
-//!   build-and-execute the engine benches without the full measurement.
+//! * `SHADOW_BENCH_ORACLE` — a flag: any non-empty value other than `0`
+//!   replays every run's command trace through the conformance oracle
+//!   (see [`oracle_enabled`]).
 //!
-//! All knobs are parsed with [`env_parsed`]: unset falls back to the
-//! default, but a *set-and-malformed* value is a typed [`BenchError`]
+//! The valued knobs are parsed with [`env_parsed`]: unset falls back to
+//! the default, but a *set-and-malformed* value is a typed [`BenchError`]
 //! naming the variable — never a silent fallback.
 
 #![warn(missing_docs)]
@@ -518,7 +520,7 @@ pub fn run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport 
 /// both engines. The table-driven
 /// PRINCE core has no runtime switch — it is pinned to the published test
 /// vectors instead. Must produce a report identical to [`run`]; the
-/// determinism tests and the engine-speedup artifact both lean on that.
+/// determinism tests and the `hotpath_profile` bench both lean on that.
 pub fn run_uncached(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport {
     let mut cfg = cfg;
     cfg.engine = Engine::Reference;
@@ -548,50 +550,18 @@ pub fn bench_threads() -> usize {
     }
 }
 
-/// Worker threads for the *scaling* measurements (`engine_speedup`):
-/// `SHADOW_BENCH_THREADS` when set (`0` = auto-detect host CPUs), else
-/// `max(host CPUs, 4)` so the parallel runner is actually exercised with
-/// multiple workers even on small hosts. Oversubscribing a small host is
-/// deliberate — the artifact records [`host_cpus`] next to the measured
-/// scaling, so a ~1.0x result on a 1-CPU box reads as the hardware bound
-/// it is, not as a runner bug.
-pub fn scaling_threads() -> usize {
-    let threads: usize =
-        env_parsed("SHADOW_BENCH_THREADS", host_cpus().max(4)).unwrap_or_else(|e| panic!("{e}"));
-    if threads == 0 {
-        host_cpus()
-    } else {
-        threads
-    }
-}
-
-/// The fig8-shaped 12-cell sweep slice both engine benches
-/// (`engine_speedup`, `hotpath_profile`) measure, so their cycles/sec
-/// numbers are directly comparable across artifacts and PRs.
-///
-/// `SHADOW_BENCH_CELLS` truncates the slice to its first `N` cells — the
-/// CI smoke job runs a 2-cell build-and-execute check without paying for
-/// the full 12-cell measurement. Unset or `0` keeps every cell. Artifacts
-/// produced from a truncated slice are smoke runs, not comparable
-/// measurements; the bench records the cell count it actually ran.
-///
-/// # Panics
-///
-/// Panics with the variable name if `SHADOW_BENCH_CELLS` is set but
-/// malformed.
+/// The fig8-shaped 12-cell sweep slice the `hotpath_profile` bench
+/// measures: {spec-high, mix-high, random-stream} × {Baseline, SHADOW,
+/// RRS, PARFM} on the DDR4 system, so its cycles/sec numbers stay
+/// comparable across artifacts.
 pub fn engine_sweep_cells() -> Vec<Cell> {
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = request_target();
     let schemes = [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Parfm];
-    let mut cells: Vec<Cell> = ["spec-high", "mix-high", "random-stream"]
+    ["spec-high", "mix-high", "random-stream"]
         .iter()
         .flat_map(|&w| schemes.iter().map(move |&s| (cfg, w.to_string(), s)))
-        .collect();
-    let cap: usize = env_parsed("SHADOW_BENCH_CELLS", 0).unwrap_or_else(|e| panic!("{e}"));
-    if cap > 0 {
-        cells.truncate(cap);
-    }
-    cells
+        .collect()
 }
 
 /// Runs independent `jobs` across `threads` scoped worker threads and
@@ -738,15 +708,10 @@ pub fn try_timed_run(
     Ok(CellResult { report, wall_secs })
 }
 
-/// Fans `cells` over [`bench_threads`] workers; results come back in cell
-/// order and are bit-identical to running each cell serially (each cell
-/// re-derives its streams from the same fixed per-cell seed [`run`] uses).
-pub fn run_cells(cells: Vec<Cell>) -> Vec<CellResult> {
-    run_cells_with(bench_threads(), cells)
-}
-
-/// [`run_cells`] with an explicit thread count (the parallel-equals-serial
-/// determinism test drives this directly).
+/// Fans `cells` over `threads` workers via [`timed_run`]; results come
+/// back in cell order and are bit-identical to running each cell serially
+/// (each cell re-derives its streams from the same fixed per-cell seed
+/// [`run`] uses).
 pub fn run_cells_with(threads: usize, cells: Vec<Cell>) -> Vec<CellResult> {
     let jobs: Vec<_> = cells
         .into_iter()
@@ -778,7 +743,7 @@ fn command_stdout(cmd: &str, args: &[&str]) -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// The provenance block every `BENCH_*.json` artifact embeds: which
+/// The provenance block every bench JSON artifact embeds: which
 /// commit, host, and toolchain produced the numbers, and the exact bench
 /// invocation — so the recorded perf trajectory is auditable across PRs
 /// instead of a bare figure. Serialized via [`json::Json`], so shell

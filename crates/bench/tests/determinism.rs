@@ -12,6 +12,7 @@
 
 use shadow_bench::{run, run_cells_with, run_uncached, Cell, Scheme};
 use shadow_memsys::{Engine, MemSystem, SystemConfig};
+use shadow_sim::profiler::Phase;
 
 fn small_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
@@ -98,7 +99,7 @@ fn parallel_sweep_equals_serial() {
 /// schemes that remap rows mid-run plus the PRAC-era schemes, whose
 /// counter/tracker state is the largest a worker carries.
 #[test]
-fn sharded_engine_equals_serial_at_any_thread_count() {
+fn sweep_workers_equal_calling_thread_with_traces() {
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = 2_000;
     cfg.trace_depth = 1 << 20;
@@ -237,7 +238,7 @@ fn trace_recorder_does_not_change_outcomes() {
 /// `restore_block` everywhere. Both engines share the ledger, so this
 /// pins the scheduler and translation cache around it.
 #[test]
-fn lazy_ledger_matches_eager_reference() {
+fn fast_engine_equals_reference_on_ledger_heavy_schemes() {
     for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Para] {
         let fast = run(small_cfg(), "random-stream", scheme);
         let mut reference_cfg = small_cfg();
@@ -252,28 +253,37 @@ fn lazy_ledger_matches_eager_reference() {
     }
 }
 
-/// The phase profiler is observation only: a run with
+/// The phase profiler is observation only: on either engine, a run with
 /// `SystemConfig::profile` set must produce a report identical (under
 /// `SimReport` equality, which ignores the wall-clock profile) to the
-/// same run without it — whether or not the `profiler` feature is
-/// compiled in. With the feature on, also pin that the profile actually
-/// populated, so a silently dead profiler cannot pass for a cheap one.
+/// same run without it, and an unprofiled run carries no profile. Also
+/// pin that every phase the engine enters was counted, so a silently dead
+/// timer site cannot pass for a cheap one: all six on the fast engine,
+/// and all but `Calendar` on the reference engine, whose full scan never
+/// touches the event calendar.
 #[test]
 fn profiler_does_not_change_outcomes() {
-    for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs] {
-        let off = run(small_cfg(), "random-stream", scheme);
-        let mut profiled_cfg = small_cfg();
-        profiled_cfg.profile = true;
-        let on = run(profiled_cfg, "random-stream", scheme);
-        assert_eq!(off, on, "profiler changed a {} outcome", scheme.name());
-        if shadow_sim::profiler::profiler_compiled() {
+    for engine in [Engine::Fast, Engine::Reference] {
+        for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs] {
+            let mut cfg = small_cfg();
+            cfg.engine = engine;
+            let off = run(cfg, "random-stream", scheme);
+            assert!(off.profile.is_none(), "unprofiled run carries a profile");
+            cfg.profile = true;
+            let on = run(cfg, "random-stream", scheme);
+            let name = scheme.name();
+            assert_eq!(off, on, "profiler changed a {name} outcome on {engine:?}");
             let p = on.profile.as_ref().expect("profiled run records phases");
-            assert!(
-                p.hits(shadow_sim::profiler::Phase::Schedule) > 0,
-                "profiler compiled + enabled but recorded nothing"
-            );
-        } else {
-            assert!(on.profile.is_none(), "profile populated without feature");
+            for phase in Phase::ALL {
+                let entered = engine == Engine::Fast || phase != Phase::Calendar;
+                assert_eq!(
+                    p.hits(phase) > 0,
+                    entered,
+                    "{name} on {engine:?}: {} phase has {} hits",
+                    phase.name(),
+                    p.hits(phase)
+                );
+            }
         }
     }
 }

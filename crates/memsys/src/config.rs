@@ -75,10 +75,10 @@ pub struct SystemConfig {
     /// commands for the conformance oracle. Tracing never changes simulated
     /// behaviour (pinned by the determinism suite).
     pub trace_depth: usize,
-    /// Collect the hot-path phase profile ([`SimReport::profile`]
-    /// (crate::SimReport::profile)). Only effective when the crate is built
-    /// with the `profiler` feature; observation-only either way — report
-    /// equality ignores the profile and simulated behaviour is unchanged.
+    /// Collect the hot-path phase profile
+    /// ([`SimReport::profile`](crate::SimReport::profile)) in any build.
+    /// Observation-only: report equality ignores the profile and
+    /// simulated behaviour is unchanged.
     pub profile: bool,
     /// Forward-progress watchdog window, in cycles. `0` (every preset's
     /// default) disables the watchdog. When non-zero,

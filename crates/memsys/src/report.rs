@@ -70,8 +70,8 @@ pub struct SimReport {
     /// diagnostics; excluded from `PartialEq`.
     pub gate_bus_skips: u64,
     /// Hot-path phase profile: populated only when the run asked for it
-    /// (`SystemConfig::profile`) *and* the `profiler` feature is compiled
-    /// in. Wall-clock observation only — excluded from `PartialEq`.
+    /// (`SystemConfig::profile`). Wall-clock observation only — excluded
+    /// from `PartialEq`.
     pub profile: Option<PhaseProfile>,
 }
 

@@ -346,7 +346,7 @@ pub(crate) struct ChannelShard {
     issued: Option<DramCommand>,
     /// CAS completion produced by the pass in flight.
     pending_completion: Option<(Cycle, usize)>,
-    /// Hot-path phase profile (`Some` only when requested and compiled in).
+    /// Hot-path phase profile (`Some` only when the run asked for it).
     pub profile: Option<PhaseProfile>,
 }
 
@@ -412,11 +412,7 @@ impl ChannelShard {
             frontier: vec![FrontierSlot::INVALID; banks],
             issued: None,
             pending_completion: None,
-            profile: if profile && shadow_sim::profiler::profiler_compiled() {
-                Some(PhaseProfile::new())
-            } else {
-                None
-            },
+            profile: profile.then(PhaseProfile::new),
         }
     }
 

@@ -155,7 +155,7 @@ fn scheduling_engines_agree_on_random_workloads() {
 /// steer the hit walk to the wrong request. Reports *and* command traces
 /// must be bit-identical. Case count honors `PROPTEST_CASES`.
 #[test]
-fn row_index_matches_linear_frfcfs_scan() {
+fn remap_churn_frfcfs_fast_equals_reference() {
     let cases: u64 = std::env::var("PROPTEST_CASES")
         .ok()
         .and_then(|v| v.parse().ok())

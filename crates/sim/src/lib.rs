@@ -24,8 +24,8 @@
 //!   write, for per-row state that is zero on rows a run never touches.
 //! * [`ring`] — a bounded, drop-counting append log for cheap always-on
 //!   recorders (command traces, scheduler debugging).
-//! * [`profiler`] — feature-gated hot-path phase timing (`profiler`
-//!   feature; compiles to nothing by default).
+//! * [`profiler`] — sampled hot-path phase timing, on for a run that
+//!   asks for it (`SystemConfig::profile`).
 //!
 //! ## Example
 //!

@@ -1,4 +1,4 @@
-//! Feature-gated hot-path phase profiler.
+//! Runtime-switched hot-path phase profiler.
 //!
 //! The simulation engine attributes wall-clock time to six coarse phases
 //! of the per-cycle data plane:
@@ -26,12 +26,12 @@
 //! engine's periodic bank-visit patterns the way a plain `tick % N`
 //! counter could.
 //!
-//! Timing calls only exist when the `profiler` cargo feature is enabled
-//! *and* the run asks for it (`SystemConfig::profile`); a default build
-//! compiles [`PhaseTimer`] to nothing. The accumulated [`PhaseProfile`] is
-//! observation-only: report equality deliberately ignores it, and the
-//! determinism suite pins that a profiled run is bit-identical to an
-//! unprofiled one.
+//! A run is profiled only when it asks for it (`SystemConfig::profile`):
+//! the engine then holds a `Some(PhaseProfile)`, and an unprofiled run's
+//! `None` makes every [`PhaseTimer`] call a branch that reads no clock.
+//! The accumulated [`PhaseProfile`] is observation-only: report equality
+//! deliberately ignores it, and the determinism suite pins that a
+//! profiled run is bit-identical to an unprofiled one.
 
 /// The instrumented engine phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +55,13 @@ pub enum Phase {
 pub const PHASE_COUNT: usize = 6;
 
 /// Nominal sampling rate: roughly one in this many phase entries is
-/// wall-clock timed; every entry is still counted. Recorded in
-/// `BENCH_hotpath.json` next to the shares it scales.
+/// wall-clock timed; every entry is still counted. Recorded in the
+/// `hotpath_profile` bench artifact next to the shares it scales.
 pub const SAMPLE_RATE: u64 = 64;
 
 /// Weyl-sequence increment (2^64 / φ), odd and therefore coprime to the
 /// 2^64 state space: the sampled subset is low-discrepancy and cannot
 /// lock onto the engine's periodic visit patterns.
-#[cfg(feature = "profiler")]
 const WEYL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Phase {
@@ -76,7 +75,8 @@ impl Phase {
         Phase::Calendar,
     ];
 
-    /// Stable lowercase name (used as JSON keys in `BENCH_hotpath.json`).
+    /// Stable lowercase name (used as JSON keys in the `hotpath_profile`
+    /// bench artifact).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Schedule => "schedule",
@@ -91,8 +91,8 @@ impl Phase {
 
 /// Accumulated per-phase entry counts and sampled wall time.
 ///
-/// Always available as a type (reports carry an `Option<PhaseProfile>`);
-/// only ever populated when the `profiler` feature is compiled in.
+/// Reports carry an `Option<PhaseProfile>`, `Some` only for a run with
+/// `SystemConfig::profile` set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Wall nanos of the *timed* (sampled) entries only.
@@ -112,7 +112,6 @@ impl PhaseProfile {
     }
 
     /// Advances the sampling stream; `true` means "time this entry".
-    #[cfg(feature = "profiler")]
     #[inline]
     fn sample(&mut self) -> bool {
         self.tick = self.tick.wrapping_add(WEYL);
@@ -187,37 +186,25 @@ impl PhaseProfile {
 
 /// A scoped phase timer.
 ///
-/// `start` reads the monotonic clock only when the `profiler` feature is
-/// compiled in, the profile is live, *and* the profile's sampling stream
-/// selects this entry (~1 in [`SAMPLE_RATE`]); `stop` then folds the
-/// elapsed time in, or just counts the entry when it was not sampled.
-/// Without the feature both calls are empty `#[inline]` bodies and the
-/// struct is zero-sized, so instrumented code pays nothing in default
-/// builds.
+/// `start` reads the monotonic clock only when the profile is live *and*
+/// its sampling stream selects this entry (~1 in [`SAMPLE_RATE`]); `stop`
+/// then folds the elapsed time in, or just counts the entry when it was
+/// not sampled. Against a `None` profile both calls are one branch each.
 #[derive(Debug)]
 #[must_use = "a PhaseTimer only records when stopped"]
 pub struct PhaseTimer {
-    #[cfg(feature = "profiler")]
     started: Option<std::time::Instant>,
 }
 
 impl PhaseTimer {
-    /// Starts a timer against `profile` (a no-op unless built with
-    /// `--features profiler` and the profile is live).
+    /// Starts a timer against `profile` (a no-op unless the profile is
+    /// live).
     #[inline]
     pub fn start(profile: &mut Option<PhaseProfile>) -> Self {
-        #[cfg(feature = "profiler")]
-        {
-            PhaseTimer {
-                started: profile
-                    .as_mut()
-                    .and_then(|p| p.sample().then(std::time::Instant::now)),
-            }
-        }
-        #[cfg(not(feature = "profiler"))]
-        {
-            let _ = profile;
-            PhaseTimer {}
+        PhaseTimer {
+            started: profile
+                .as_mut()
+                .and_then(|p| p.sample().then(std::time::Instant::now)),
         }
     }
 
@@ -226,14 +213,7 @@ impl PhaseTimer {
     /// a live profile still counts the entry.
     #[inline]
     pub fn noop() -> Self {
-        #[cfg(feature = "profiler")]
-        {
-            PhaseTimer { started: None }
-        }
-        #[cfg(not(feature = "profiler"))]
-        {
-            PhaseTimer {}
-        }
+        PhaseTimer { started: None }
     }
 
     /// Const-generic gate: [`start`](Self::start) when `ON`, otherwise a
@@ -253,23 +233,13 @@ impl PhaseTimer {
     /// elapsed time) to `phase`.
     #[inline]
     pub fn stop(self, profile: &mut Option<PhaseProfile>, phase: Phase) {
-        #[cfg(feature = "profiler")]
         if let Some(p) = profile.as_mut() {
             match self.started {
                 Some(t0) => p.record(phase, t0.elapsed().as_nanos() as u64),
                 None => p.record_untimed(phase),
             }
         }
-        #[cfg(not(feature = "profiler"))]
-        {
-            let _ = (profile, phase);
-        }
     }
-}
-
-/// Whether phase timing is compiled into this build.
-pub const fn profiler_compiled() -> bool {
-    cfg!(feature = "profiler")
 }
 
 #[cfg(test)]
@@ -339,13 +309,9 @@ mod tests {
         t.stop(&mut profile, Phase::Device);
         let p = profile.unwrap();
         // The entry is counted, but the clock was never read.
-        #[cfg(feature = "profiler")]
         assert_eq!((p.hits(Phase::Device), p.timed(Phase::Device)), (1, 0));
-        #[cfg(not(feature = "profiler"))]
-        assert_eq!(p.hits(Phase::Device), 0);
     }
 
-    #[cfg(feature = "profiler")]
     #[test]
     fn timer_enabled_counts_every_entry_and_samples_some() {
         let mut profile = Some(PhaseProfile::new());
