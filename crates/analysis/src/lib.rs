@@ -22,6 +22,7 @@
 //!   an attacker's learned PA→DA knowledge decays under shuffling.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod area;

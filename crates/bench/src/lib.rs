@@ -38,6 +38,7 @@
 //! naming the variable — never a silent fallback.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod runner;

@@ -24,11 +24,15 @@
 //! are thin launchers of checked-in recipes ([`figure`]).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod engine;
 pub mod figure;
 pub mod recipe;
 pub mod serve;
+// Installs the drain handler through POSIX signal(2): the crate's one
+// foreign call.
+#[allow(unsafe_code)]
 pub mod signals;
 
 pub use engine::{

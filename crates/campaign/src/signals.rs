@@ -54,6 +54,9 @@ mod imp {
     }
 
     pub fn install() {
+        // SAFETY: `signal` is declared with POSIX signal(2)'s C signature,
+        // and `on_signal` only stores to an `AtomicBool`, which is
+        // async-signal-safe.
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);

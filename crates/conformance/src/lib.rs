@@ -22,6 +22,7 @@
 //! runs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod fault;

@@ -2,12 +2,12 @@
 //!
 //! DRAM channels share no timing state — the data bus, CAS spacing, write
 //! turnaround, and every bank/rank constraint are all scoped to one channel.
-//! [`ChannelLane`] packages exactly that slice of [`DramDevice`]
-//! (`crate::device::DramDevice`) state so the simulator's per-channel
-//! scheduler slice can own its lane for a run and step it independently of
-//! the other channels. The device's bookkeeping (stats, history, trace)
-//! stays behind on the coordinator, which records commands in the
-//! canonical merge order.
+//! [`ChannelLane`] packages exactly that slice of
+//! [`DramDevice`](crate::device::DramDevice) state so the simulator's
+//! per-channel scheduler slice can own its lane for a run and step it
+//! independently of the other channels. The device's bookkeeping (stats,
+//! history, trace) stays behind on the coordinator, which records commands
+//! in the canonical merge order.
 //!
 //! Lane methods accept *global* bank ids and flat rank indices and rebase
 //! internally; debug builds assert the argument actually belongs to the
@@ -164,46 +164,6 @@ impl ChannelLane {
             .max(self.ccd_ready(self.group_of(lb), tp));
         let bus = self.bus_free.saturating_sub(tp.t_cwl);
         cas.max(bus)
-    }
-
-    /// The bank-intrinsic part of `bank`'s ACT readiness: the bank's own
-    /// timers alone, no rank coupling. `earliest_act(bank, now) ==
-    /// max(now, act_intrinsic(bank), act_floor(bank))` by construction.
-    pub fn act_intrinsic(&self, bank: BankId) -> Cycle {
-        self.banks[self.lb(bank)].earliest_act()
-    }
-
-    /// The cross-bank part of `bank`'s ACT readiness: its rank's
-    /// tRRD/tFAW/refresh-recovery window for the bank's group. Mutated
-    /// only by same-rank ACTs and REFs, and only ever *later* — which is
-    /// what lets a scheduler memoize the intrinsic part and re-apply this
-    /// floor in O(1).
-    pub fn act_floor(&self, bank: BankId, tp: &TimingParams) -> Cycle {
-        let lb = self.lb(bank);
-        self.ranks[self.rank_of(lb)].earliest_act(self.group_of(lb), tp)
-    }
-
-    /// The bank-intrinsic part of `bank`'s CAS readiness (tRCD after its
-    /// own ACT, write-recovery after its own CAS).
-    pub fn cas_intrinsic(&self, bank: BankId) -> Cycle {
-        self.banks[self.lb(bank)].earliest_cas()
-    }
-
-    /// The cross-bank part of `bank`'s best-case CAS readiness: the
-    /// channel tCCD spacing, data-bus occupancy, and rank write-to-read
-    /// turnaround, folded as `min(rd-side, wr-side)` so that
-    /// `min(earliest_rd, earliest_wr)` at `now = 0` equals
-    /// `max(cas_intrinsic, cas_floor)` — both directions share the bank
-    /// term, so the min of the two maxes distributes. Mutated only by
-    /// channel CAS traffic, and only ever later.
-    pub fn cas_floor(&self, bank: BankId, tp: &TimingParams) -> Cycle {
-        let lb = self.lb(bank);
-        let ccd = self.ccd_ready(self.group_of(lb), tp);
-        let rd = ccd
-            .max(self.wtr_ready[self.rank_of(lb)])
-            .max(self.bus_free.saturating_sub(tp.t_cl));
-        let wr = ccd.max(self.bus_free.saturating_sub(tp.t_cwl));
-        rd.min(wr)
     }
 
     /// The exact cycle `rank`'s next refresh becomes due:

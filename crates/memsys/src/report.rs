@@ -46,8 +46,8 @@ pub struct SimReport {
     /// Per-channel count of cycles in which that channel's command bus
     /// issued a command (at most one per channel per cycle, so this is both
     /// a command count and a busy-cycle count). Indexed by channel; the
-    /// utilization view behind [`channel_busy_shares`]
-    /// (Self::channel_busy_shares).
+    /// utilization view behind
+    /// [`channel_busy_shares`](Self::channel_busy_shares).
     pub channel_busy_cycles: Vec<u64>,
     /// Scheduling passes the run loop executed. Engine diagnostics, not
     /// simulation state: the count depends on which engine ran (the

@@ -48,6 +48,12 @@
 //! valid IS the exact heap minimum) and the pass (visit only banks whose
 //! event fired at `now`, merged with `pending` in ascending bank order)
 //! come off the O(active banks) scan.
+//!
+//! The memo itself has **one validity rule** (see [`FrontierSlot`]): a slot
+//! is valid while no command has issued on the channel and its bank has
+//! had no admission or consult since the slot was computed. `next_min`
+//! recomputes a stale slot; a pass visit sends a stale-slot bank through
+//! `schedule_bank`, exactly as the reference scan does.
 
 use std::collections::VecDeque;
 
@@ -57,7 +63,7 @@ use shadow_dram::lane::ChannelLane;
 use shadow_dram::rank::RankState;
 use shadow_dram::rfm::RaaCounters;
 use shadow_dram::timing::TimingParams;
-use shadow_mitigations::{AboScope, AboSpec, AnyMitigation, Mitigation};
+use shadow_mitigations::{AboScope, AboSpec, Mitigation};
 use shadow_rh::HammerLedger;
 use shadow_sim::calendar::EventCalendar;
 use shadow_sim::profiler::{Phase, PhaseProfile, PhaseTimer};
@@ -103,7 +109,7 @@ impl QueuedReq {
     /// `Mitigation::translate` is contractually a pure lookup, so the
     /// cached value is exact — this is what turns the FR-FCFS row-hit scan
     /// from a translation per request per pass into a field compare.
-    fn da(&mut self, mit_bank: usize, epoch: u64, mitigation: &mut AnyMitigation) -> u32 {
+    fn da(&mut self, mit_bank: usize, epoch: u64, mitigation: &mut dyn Mitigation) -> u32 {
         if self.cached_epoch != epoch {
             self.cached_da = mitigation.translate(mit_bank, self.pa_row);
             self.cached_epoch = epoch;
@@ -123,30 +129,13 @@ impl QueuedReq {
 /// clamped by the caller — the final `max(now + 1)` absorbs any sub-`now`
 /// value exactly as the unclamped scan did).
 ///
-/// Validity is scoped to exactly the committed state the memoized value
-/// read. Branch selection (RFM pending, open row, row hit, head readiness)
-/// is a function of the bank's own command history and scheduler
-/// bookkeeping alone, so every slot is pinned by `bank_cmd_seq` (bumped per
-/// command to this bank — a rank's REF bumps every bank it blocks) and
-/// `bank_seq` (command-free scheduler mutations: admissions, mitigation
-/// consults). On top of that, `scope` records the widest cross-bank
-/// coupling the lane queries behind the branch actually read, and
-/// `coupled_seq` pins that coupling:
-///
-///  - [`FrontierScope::Bank`] — a PRE frontier (`earliest_pre` reads only
-///    the bank's own timers), nothing further to pin;
-///  - [`FrontierScope::Rank`] — an ACT frontier adds the rank's
-///    tRRD/tFAW/refresh-recovery window, mutated only by same-rank ACTs
-///    (each bumps the shard's `rank_act_seq`);
-///  - [`FrontierScope::Channel`] — a RD/WR frontier adds the channel CAS
-///    coupling (tCCD spacing, data-bus occupancy, and the rank's tWTR, all
-///    mutated only by RD/WR, each of which bumps the shard's `cas_seq`; a
-///    rank's banks share one channel, so the channel counter covers tWTR
-///    too).
-///
-/// A PRE elsewhere on the channel, or a CAS to another rank's bank, no
-/// longer invalidates an ACT frontier — that is the point: FR-FCFS read
-/// storms leave closed banks' memos intact.
+/// **Validity rule:** a slot is valid while `cmd_seq` matches the shard's
+/// channel command counter (bumped by every command the channel issues)
+/// and `bank_seq` matches the bank's counter of command-free scheduler
+/// mutations (admissions, mitigation consults). Every input `raw` reads —
+/// the bank's own timers, its rank's tRRD/tFAW/refresh window, the
+/// channel's tCCD/bus/tWTR state, the open row, the queue, RFM demand —
+/// moves only through one of the two.
 ///
 /// `consult_pending` records whether, at compute time, the bank had a
 /// closed row and an un-`act_charged` head — the one `schedule_bank` path
@@ -154,46 +143,21 @@ impl QueuedReq {
 /// when no command issues. The scheduling pass never skips such a bank, so
 /// the consult happens at exactly the cycle it always did. The flag is
 /// stable while the slot is valid: any open-row change, head removal, or
-/// `needs_rfm` flip comes from a command to this bank (`bank_cmd_seq`),
-/// and charging the head or admitting to an empty queue bumps `bank_seq`.
+/// `needs_rfm` flip comes from a command, and charging the head or
+/// admitting to an empty queue bumps `bank_seq`.
 #[derive(Debug, Clone, Copy)]
 struct FrontierSlot {
-    bank_cmd_seq: u64,
+    cmd_seq: u64,
     bank_seq: u64,
-    /// The rank or channel counter captured at compute time (`scope`
-    /// decides which; unused for bank-local frontiers).
-    coupled_seq: u64,
     raw: Cycle,
-    /// The bank-scoped part of `raw` alone: the bank's own timers plus
-    /// head readiness, none of the rank/channel coupling. Because the
-    /// lane's coupled state enters every `earliest_*` as a floor —
-    /// `raw == max(intrinsic, floor(scope))`, an identity `refresh_slot`
-    /// asserts — a slot whose bank-scoped counters still match can be
-    /// revalidated in O(1) by re-reading just the floor
-    /// ([`ChannelShard::revalidate_coupled`]), instead of re-running the
-    /// branch selection and its queue scans.
-    intrinsic: Cycle,
-    scope: FrontierScope,
     consult_pending: bool,
-}
-
-/// The widest cross-bank state a memoized frontier read; see
-/// [`FrontierSlot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrontierScope {
-    Bank,
-    Rank,
-    Channel,
 }
 
 impl FrontierSlot {
     const INVALID: FrontierSlot = FrontierSlot {
-        bank_cmd_seq: u64::MAX,
+        cmd_seq: u64::MAX,
         bank_seq: u64::MAX,
-        coupled_seq: u64::MAX,
         raw: 0,
-        intrinsic: 0,
-        scope: FrontierScope::Bank,
         consult_pending: true,
     };
 }
@@ -327,15 +291,9 @@ pub(crate) struct ChannelShard {
     pub busy_cycles: u64,
     /// Requests currently queued across the shard's banks.
     queued: usize,
-    /// Per-bank count of committed commands touching that bank's timers
-    /// (frontier invalidation, bank scope).
-    bank_cmd_seq: Vec<u64>,
-    /// Per-local-rank ACT count (tRRD/tFAW coupling — frontier
-    /// invalidation, rank scope).
-    rank_act_seq: Vec<u64>,
-    /// Channel CAS count (tCCD/bus/tWTR coupling — frontier invalidation,
-    /// channel scope).
-    cas_seq: u64,
+    /// Commands issued on this channel (frontier invalidation: every
+    /// memo reads channel state some command may have moved).
+    cmd_seq: u64,
     /// Per-bank count of command-free scheduler mutations (admissions,
     /// mitigation consults — frontier invalidation).
     bank_seq: Vec<u64>,
@@ -405,9 +363,7 @@ impl ChannelShard {
             throttle_cycles: 0,
             busy_cycles: 0,
             queued: 0,
-            bank_cmd_seq: vec![0; banks],
-            rank_act_seq: vec![0; ranks],
-            cas_seq: 0,
+            cmd_seq: 0,
             bank_seq: vec![0; banks],
             frontier: vec![FrontierSlot::INVALID; banks],
             issued: None,
@@ -486,18 +442,10 @@ impl ChannelShard {
     }
 
     /// Commits one command: applies it on the lane, claims the channel's
-    /// command bus for this cycle, and invalidates exactly the memoized
-    /// frontier scopes whose state the command mutated (see
+    /// command bus for this cycle, and bumps the channel command counter,
+    /// which invalidates every memoized frontier on the channel (see
     /// [`FrontierSlot`]). Every command the shard emits goes through here,
-    /// which is what makes the invalidation exhaustive on the command side:
-    ///
-    ///  - every command advances its own bank's timers → `bank_cmd_seq`
-    ///    (REF blocks and rewinds every bank of its rank, so it bumps each
-    ///    of them — that also covers the rank-level refresh-recovery window
-    ///    `earliest_act` reads, since only same-rank banks read it);
-    ///  - ACT additionally opens a rank tRRD/tFAW window → `rank_act_seq`;
-    ///  - RD/WR additionally move the channel's tCCD/bus/tWTR state →
-    ///    `cas_seq`.
+    /// which is what makes the invalidation exhaustive on the command side.
     ///
     /// The bookkeeping half (stats/history/trace) happens on the
     /// coordinator via `DramDevice::record`, in canonical channel order.
@@ -514,30 +462,7 @@ impl ChannelShard {
         self.cmd_ready = now + 1;
         self.busy_cycles += 1;
         self.issued = Some(cmd);
-        match cmd {
-            DramCommand::Act { bank, .. } => {
-                let l = bank.0 as usize - self.bank_base;
-                self.bank_cmd_seq[l] = self.bank_cmd_seq[l].wrapping_add(1);
-                let lr = l / self.bpr;
-                self.rank_act_seq[lr] = self.rank_act_seq[lr].wrapping_add(1);
-            }
-            DramCommand::Pre { bank } | DramCommand::Rfm { bank } | DramCommand::Rfmsb { bank } => {
-                let l = bank.0 as usize - self.bank_base;
-                self.bank_cmd_seq[l] = self.bank_cmd_seq[l].wrapping_add(1);
-            }
-            DramCommand::Rd { bank } | DramCommand::Wr { bank } => {
-                let l = bank.0 as usize - self.bank_base;
-                self.bank_cmd_seq[l] = self.bank_cmd_seq[l].wrapping_add(1);
-                self.cas_seq = self.cas_seq.wrapping_add(1);
-            }
-            DramCommand::Ref { rank } | DramCommand::Rfmab { rank } => {
-                let lr = rank as usize - self.rank_base;
-                for b in 0..self.bpr {
-                    let l = lr * self.bpr + b;
-                    self.bank_cmd_seq[l] = self.bank_cmd_seq[l].wrapping_add(1);
-                }
-            }
-        }
+        self.cmd_seq = self.cmd_seq.wrapping_add(1);
         res
     }
 
@@ -548,30 +473,12 @@ impl ChannelShard {
         self.bank_seq[local] = self.bank_seq[local].wrapping_add(1);
     }
 
-    /// Whether `local`'s memoized frontier still reflects current state:
-    /// the bank-scoped counters must match, plus whichever coupled counter
-    /// the slot's scope pinned (see [`FrontierSlot`]).
+    /// Whether `local`'s memoized frontier still reflects current state
+    /// (see [`FrontierSlot`]).
     #[inline]
     fn slot_valid(&self, local: usize) -> bool {
         let slot = &self.frontier[local];
-        if slot.bank_cmd_seq != self.bank_cmd_seq[local] || slot.bank_seq != self.bank_seq[local] {
-            return false;
-        }
-        match slot.scope {
-            FrontierScope::Bank => true,
-            FrontierScope::Rank => slot.coupled_seq == self.rank_act_seq[local / self.bpr],
-            FrontierScope::Channel => slot.coupled_seq == self.cas_seq,
-        }
-    }
-
-    /// The current value of the coupled invalidation counter `scope` pins.
-    #[inline]
-    fn coupled_seq(&self, scope: FrontierScope, local: usize) -> u64 {
-        match scope {
-            FrontierScope::Bank => 0,
-            FrontierScope::Rank => self.rank_act_seq[local / self.bpr],
-            FrontierScope::Channel => self.cas_seq,
-        }
+        slot.cmd_seq == self.cmd_seq && slot.bank_seq == self.bank_seq[local]
     }
 
     /// Applies a mitigation's refreshes/copies to the fault ledger.
@@ -607,7 +514,7 @@ impl ChannelShard {
     /// over its active banks. Admissions for this cycle must already be in
     /// ([`admit`](Self::admit)). The mitigation sees bank index
     /// `bank_base + local`.
-    pub fn pass(&mut self, now: Cycle, mit: &mut AnyMitigation) -> ShardReply {
+    pub fn pass(&mut self, now: Cycle, mit: &mut dyn Mitigation) -> ShardReply {
         // Shard-level skip (calendar engine): when the last `next_min`
         // proved every bank event lies beyond `now`, no consult is armed,
         // nothing needs per-pass examination (`skip_ok`), no admission
@@ -749,7 +656,7 @@ impl ChannelShard {
     /// ascending banks with RFMSB. Runs identically under both engines
     /// (it precedes engine dispatch and reads only committed state), which
     /// keeps the differential fuzzer's variants bit-identical.
-    fn recovery_drain(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
+    fn recovery_drain(&mut self, now: Cycle, mit: &mut dyn Mitigation, progressed: &mut bool) {
         if self.cmd_ready > now || self.block_until > now {
             return;
         }
@@ -844,7 +751,7 @@ impl ChannelShard {
     /// ascending order through the full `schedule_bank` decision tree.
     /// Iterating a snapshot of each bitmask word keeps the scan stable
     /// while banks deactivate themselves.
-    fn pass_scan(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
+    fn pass_scan(&mut self, now: Cycle, mit: &mut dyn Mitigation, progressed: &mut bool) {
         for w in 0..self.active.words() {
             let mut bits = self.active.word(w);
             while bits != 0 {
@@ -873,7 +780,7 @@ impl ChannelShard {
     /// `pending` pool (the two are disjoint by construction). Every bank
     /// the reference scan visits beyond these provably issues nothing and
     /// changes nothing.
-    fn pass_calendar(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
+    fn pass_calendar(&mut self, now: Cycle, mit: &mut dyn Mitigation, progressed: &mut bool) {
         // Shard-global bus gate, hoisted: with the command bus claimed at
         // pass entry `schedule_bank` returns at its first check for every
         // bank, so no visit can issue or consult and the whole pass is
@@ -930,7 +837,7 @@ impl ChannelShard {
         &mut self,
         local: usize,
         now: Cycle,
-        mit: &mut AnyMitigation,
+        mit: &mut dyn Mitigation,
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
@@ -939,15 +846,13 @@ impl ChannelShard {
             self.pending.insert(local);
             return;
         }
-        // Stale-early pop: the entry fired at its old key but the bank's
-        // true frontier has since moved later (an unrouted coupling).
-        // Revalidate in O(1) and re-park instead of paying for a provably
-        // no-op `schedule_bank`.
-        if !self.slot_valid(local) {
-            let _ = self.revalidate_coupled(local);
-        }
+        // A valid memo still beyond `now` re-parks the bank. A stale one
+        // (a command on the channel since the entry was keyed) goes
+        // through `schedule_bank` as the reference scan does: if the
+        // entry is stale-early, the monotone-later contract makes that
+        // visit side-effect-free.
         let slot = self.frontier[local];
-        if !slot.consult_pending && slot.raw > now && self.slot_valid(local) {
+        if self.slot_valid(local) && !slot.consult_pending && slot.raw > now {
             if slot.raw > now + 1 {
                 self.calendar.push(slot.raw, local);
             } else {
@@ -974,21 +879,17 @@ impl ChannelShard {
         &mut self,
         local: usize,
         now: Cycle,
-        mit: &mut AnyMitigation,
+        mit: &mut dyn Mitigation,
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
             return; // stays pending: the visit would be a no-op
         }
-        // A coupled-stale slot revalidates in O(1); if the fresh frontier
-        // still lies beyond `now` the visit below would provably be a
-        // side-effect-free no-op (the reference scan performs it anyway
-        // and changes nothing), so taking the gate instead is exact.
-        if !self.slot_valid(local) {
-            let _ = self.revalidate_coupled(local);
-        }
+        // A valid memo beyond `now` proves the visit below a no-op (the
+        // reference scan performs it anyway and changes nothing), so
+        // taking the gate instead is exact; a stale memo takes the visit.
         let slot = self.frontier[local];
-        if !slot.consult_pending && slot.raw > now && self.slot_valid(local) {
+        if self.slot_valid(local) && !slot.consult_pending && slot.raw > now {
             // Only a genuinely *future* event is worth a heap entry: a
             // bank due next cycle would pop right back out, costing a
             // push + pop + sort where the pending bitmask walk is one
@@ -1012,7 +913,7 @@ impl ChannelShard {
     /// Post-visit disposition (calendar engine): deactivate a bank with
     /// nothing left to do — the reference scan's deactivation check — else
     /// park it in `pending` (the next `next_min` graduates it back to the
-    /// calendar once its memo revalidates).
+    /// calendar once it recomputes the memo).
     fn dispose(&mut self, local: usize) {
         if self.queues[local].is_empty()
             && !self
@@ -1036,7 +937,7 @@ impl ChannelShard {
     /// the monomorphized body: the profiler-off instantiation carries
     /// zero timer calls on the hot path.
     #[inline]
-    fn schedule_bank(&mut self, local: usize, now: Cycle, mit: &mut AnyMitigation) -> bool {
+    fn schedule_bank(&mut self, local: usize, now: Cycle, mit: &mut dyn Mitigation) -> bool {
         if self.profile.is_some() {
             self.schedule_bank_impl::<true>(local, now, mit)
         } else {
@@ -1048,7 +949,7 @@ impl ChannelShard {
         &mut self,
         local: usize,
         now: Cycle,
-        mit: &mut AnyMitigation,
+        mit: &mut dyn Mitigation,
     ) -> bool {
         let bank = self.gbank(local);
         let lbank = BankId(local as u32);
@@ -1250,28 +1151,18 @@ impl ChannelShard {
     /// committed state, so evaluating at `now = 0` yields `raw` itself. The
     /// caller re-applies the `now` bound; see [`FrontierSlot`] for why the
     /// difference never reaches the scheduler.
-    ///
-    /// Also returns the bank-scoped part of the value (see
-    /// [`FrontierSlot::intrinsic`]) and the widest cross-bank coupling the
-    /// value read — which `earliest_*` family the taken branch consulted —
-    /// so the memo can be pinned at exactly that scope.
     fn bank_frontier_raw(
         &mut self,
         local: usize,
         needs_rfm: bool,
-        mit: &mut AnyMitigation,
-    ) -> (Cycle, Cycle, FrontierScope) {
+        mit: &mut dyn Mitigation,
+    ) -> Cycle {
         let bank = self.gbank(local);
         if needs_rfm {
             if self.lane().open_row(bank).is_some() {
-                let raw = self.lane().earliest_pre(bank, 0);
-                (raw, raw, FrontierScope::Bank)
+                self.lane().earliest_pre(bank, 0)
             } else {
-                (
-                    self.lane().earliest_act(bank, 0, &self.timing),
-                    self.lane().act_intrinsic(bank),
-                    FrontierScope::Rank,
-                )
+                self.lane().earliest_act(bank, 0, &self.timing)
             }
         } else if let Some(open_da) = self.lane().open_row(bank) {
             let mit_bank = self.bank_base + local;
@@ -1282,26 +1173,17 @@ impl ChannelShard {
                 .any(|r| r.da(mit_bank, epoch, mit) == open_da);
             tr.stop(&mut self.profile, Phase::Translate);
             if has_hit {
-                (
-                    self.lane()
-                        .earliest_rd(bank, 0, &self.timing)
-                        .min(self.lane().earliest_wr(bank, 0, &self.timing)),
-                    self.lane().cas_intrinsic(bank),
-                    FrontierScope::Channel,
-                )
+                self.lane()
+                    .earliest_rd(bank, 0, &self.timing)
+                    .min(self.lane().earliest_wr(bank, 0, &self.timing))
             } else {
-                let raw = self.lane().earliest_pre(bank, 0);
-                (raw, raw, FrontierScope::Bank)
+                self.lane().earliest_pre(bank, 0)
             }
         } else {
             let head_ready = self.queues[local].front().map(|r| r.ready_at).unwrap_or(0);
-            (
-                self.lane()
-                    .earliest_act(bank, 0, &self.timing)
-                    .max(head_ready),
-                self.lane().act_intrinsic(bank).max(head_ready),
-                FrontierScope::Rank,
-            )
+            self.lane()
+                .earliest_act(bank, 0, &self.timing)
+                .max(head_ready)
         }
     }
 
@@ -1313,67 +1195,25 @@ impl ChannelShard {
             .is_some_and(|r| r.needs_rfm(BankId(local as u32)))
     }
 
-    /// The current coupled floor `scope` applies to `local`'s intrinsic
-    /// frontier: `raw == max(intrinsic, slot_floor(scope))` (asserted in
-    /// `refresh_slot`). Bank-scoped frontiers have no coupling (floor 0).
-    #[inline]
-    fn slot_floor(&self, scope: FrontierScope, local: usize) -> Cycle {
-        match scope {
-            FrontierScope::Bank => 0,
-            FrontierScope::Rank => self.lane().act_floor(self.gbank(local), &self.timing),
-            FrontierScope::Channel => self.lane().cas_floor(self.gbank(local), &self.timing),
-        }
-    }
-
     /// Recomputes and stores local bank `local`'s frontier memo.
-    fn refresh_slot(&mut self, local: usize, needs_rfm: bool, mit: &mut AnyMitigation) {
-        let (raw, intrinsic, scope) = self.bank_frontier_raw(local, needs_rfm, mit);
-        // The O(1) revalidation identity: the coupled state enters every
-        // lane `earliest_*` purely as a floor over the bank-scoped part.
-        debug_assert_eq!(raw, intrinsic.max(self.slot_floor(scope, local)));
+    fn refresh_slot(&mut self, local: usize, needs_rfm: bool, mit: &mut dyn Mitigation) {
+        let raw = self.bank_frontier_raw(local, needs_rfm, mit);
         let consult_pending = !needs_rfm
             && self.lane().open_row(self.gbank(local)).is_none()
             && self.queues[local].front().is_some_and(|r| !r.act_charged);
         self.frontier[local] = FrontierSlot {
-            bank_cmd_seq: self.bank_cmd_seq[local],
+            cmd_seq: self.cmd_seq,
             bank_seq: self.bank_seq[local],
-            coupled_seq: self.coupled_seq(scope, local),
             raw,
-            intrinsic,
-            scope,
             consult_pending,
         };
-    }
-
-    /// Attempts the O(1) slot revalidation: when only the slot's *coupled*
-    /// counter went stale (a same-rank ACT or a channel CAS elsewhere) the
-    /// branch selection, consult flag, and intrinsic part all still hold —
-    /// they are functions of bank-scoped state — so the fresh `raw` is just
-    /// the memoized intrinsic under the re-read floor. Returns false when
-    /// the bank-scoped counters themselves moved (full `refresh_slot`
-    /// required). Calendar engine only.
-    #[inline]
-    fn revalidate_coupled(&mut self, local: usize) -> bool {
-        let slot = self.frontier[local];
-        if slot.bank_cmd_seq != self.bank_cmd_seq[local] || slot.bank_seq != self.bank_seq[local] {
-            return false;
-        }
-        let raw = slot.intrinsic.max(self.slot_floor(slot.scope, local));
-        // Unrouted coupling mutations only move frontiers later (the
-        // module's monotone-later contract).
-        debug_assert!(raw >= slot.raw);
-        let coupled = self.coupled_seq(slot.scope, local);
-        let s = &mut self.frontier[local];
-        s.raw = raw;
-        s.coupled_seq = coupled;
-        true
     }
 
     /// The earliest future cycle at which this shard can act: the minimum
     /// over its active banks' frontiers (memoized) and its ranks' refresh
     /// deadlines. Unclamped — the coordinator applies `max(now + 1)` after
     /// folding in completions and core eligibility.
-    pub fn next_min(&mut self, now: Cycle, mit: &mut AnyMitigation) -> Cycle {
+    pub fn next_min(&mut self, now: Cycle, mit: &mut dyn Mitigation) -> Cycle {
         // Cache reuse (calendar engine): every input — the memoized raws,
         // the bus floor, the refresh deadlines — is committed shard state,
         // untouched since the skipped pass, and the tREFI probe lands on
@@ -1405,7 +1245,7 @@ impl ChannelShard {
                         if self.queues[local].is_empty() && !needs_rfm {
                             continue;
                         }
-                        let raw = self.bank_frontier_raw(local, needs_rfm, mit).0;
+                        let raw = self.bank_frontier_raw(local, needs_rfm, mit);
                         next = next.min(raw.max(floor));
                     }
                 }
@@ -1431,7 +1271,7 @@ impl ChannelShard {
                             skip_ok = false;
                             continue;
                         }
-                        if !self.slot_valid(local) && !self.revalidate_coupled(local) {
+                        if !self.slot_valid(local) {
                             self.refresh_slot(local, needs_rfm, mit);
                         }
                         let slot = self.frontier[local];
@@ -1459,10 +1299,8 @@ impl ChannelShard {
                         next = next.min(at.max(floor));
                         break;
                     }
-                    if !self.revalidate_coupled(local) {
-                        let needs_rfm = self.needs_rfm(local);
-                        self.refresh_slot(local, needs_rfm, mit);
-                    }
+                    let needs_rfm = self.needs_rfm(local);
+                    self.refresh_slot(local, needs_rfm, mit);
                     let slot = self.frontier[local];
                     if slot.consult_pending {
                         // Unreachable by the routing contract (consults
@@ -1612,7 +1450,7 @@ impl ChannelShard {
 mod tests {
     use super::*;
     use shadow_dram::geometry::DramGeometry;
-    use shadow_mitigations::NoMitigation;
+    use shadow_mitigations::{BlockHammer, NoMitigation, Rrs};
     use shadow_rh::RhParams;
     use shadow_sim::rng::Xoshiro256;
 
@@ -1668,21 +1506,79 @@ mod tests {
         shard
     }
 
+    /// The mitigations the twin sweep runs under, each built from one
+    /// seed per twin: the stateless baseline, RRS tuned to swap (H_cnt 12
+    /// gives a swap threshold of 2 ACTs; each swap bumps the bank's remap
+    /// epoch and blocks the channel) and BlockHammer tuned to throttle
+    /// (H_cnt 4 blacklists a row on its second ACT; each throttle moves
+    /// the head's `ready_at`).
+    #[derive(Debug, Clone, Copy)]
+    enum TwinScheme {
+        None,
+        Rrs,
+        BlockHammer,
+    }
+
+    impl TwinScheme {
+        fn build(self, seed: u64) -> Box<dyn Mitigation> {
+            let geo = twin_geometry();
+            let banks = geo.total_banks() as usize;
+            match self {
+                TwinScheme::None => Box::new(NoMitigation::new()),
+                TwinScheme::Rrs => Box::new(Rrs::new(
+                    banks,
+                    geo.rows_per_bank(),
+                    RhParams::new(12, 1),
+                    seed,
+                )),
+                TwinScheme::BlockHammer => Box::new(BlockHammer::new(
+                    banks,
+                    RhParams::new(4, 1),
+                    TimingParams::tiny().t_refw / 16,
+                )),
+            }
+        }
+
+        /// Run length: an RRS swap blocks the channel for 4000 tiny-clock
+        /// cycles, so RRS runs long enough to swap several times.
+        fn horizon(self) -> Cycle {
+            let refi = TimingParams::tiny().t_refi;
+            match self {
+                TwinScheme::Rrs => refi * 30,
+                TwinScheme::None | TwinScheme::BlockHammer => refi * 6,
+            }
+        }
+    }
+
+    /// What one twin drive exercised, for the sweep's coverage asserts.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        acts: u64,
+        cas: u64,
+        refs: u64,
+        blocked_cycles: Cycle,
+        throttle_cycles: Cycle,
+    }
+
     /// Drives two engine twins (the fast event calendar and the reference
     /// full scan; both walk the queue for FR-FCFS hits) through one
     /// identical randomized sequence of admissions, passes, and `next_min`
     /// probes, asserting lock-step agreement on every observable: the
-    /// issued command stream, CAS completions, progress flags, and queue
-    /// depths — plus the calendar's exactness contract against every
-    /// `next_min` value the scan returns.
+    /// issued command stream, CAS completions, progress flags, queue
+    /// depths, and channel-block and throttle totals — plus the calendar's
+    /// exactness contract against every `next_min` value the scan returns.
+    /// Each twin owns a mitigation built from the same seed, so remaps and
+    /// throttles reach both engines in step.
     ///
     /// The clock advance deliberately mixes event jumps (`next_min`) with
     /// single-cycle crawls and random stutters, so the calendar engine is
     /// exercised on stale-entry discard (events popped after invalidation),
     /// seq-counter edges (passes land between a command and its memo
-    /// refresh), and spurious early visits (passes at non-event cycles).
-    /// Returns command counts for the caller's coverage asserts.
-    fn drive_twins(seed: u64) -> (u64, u64, u64) {
+    /// refresh), and spurious early visits (passes at non-event cycles):
+    /// this is what pins "a stale slot's visit is a no-op" — a stale
+    /// calendar entry visited through `schedule_bank` must issue and
+    /// consult exactly what the scan does.
+    fn drive_twins(seed: u64, scheme: TwinScheme) -> Coverage {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let policy = if rng.gen_bool(0.5) {
             PagePolicy::Open
@@ -1695,16 +1591,16 @@ mod tests {
             build_shard(Engine::Fast, policy, raaimt),
             build_shard(Engine::Reference, policy, raaimt),
         ];
+        let mut mits = [scheme.build(seed), scheme.build(seed)];
         let geo = twin_geometry();
         let banks = geo.total_banks() as usize;
         let rows = geo.rows_per_bank();
-        let mut mit = AnyMitigation::from(Box::new(NoMitigation::new()) as Box<dyn Mitigation>);
 
         let mut now: Cycle = 0;
         // Run well past tREFI so refresh deadlines, urgent PREs, and REF
         // recovery all participate.
-        let horizon: Cycle = TimingParams::tiny().t_refi * 6;
-        let (mut acts, mut cas, mut refs) = (0u64, 0u64, 0u64);
+        let horizon = scheme.horizon();
+        let mut cov = Coverage::default();
         while now < horizon {
             if rng.gen_bool(0.4) {
                 for _ in 0..rng.gen_range(1, 4) {
@@ -1724,8 +1620,11 @@ mod tests {
                     }
                 }
             }
-            let replies: Vec<ShardReply> =
-                shards.iter_mut().map(|s| s.pass(now, &mut mit)).collect();
+            let replies: Vec<ShardReply> = shards
+                .iter_mut()
+                .zip(mits.iter_mut())
+                .map(|(s, m)| s.pass(now, &mut **m))
+                .collect();
             for r in &replies[1..] {
                 assert_eq!(r.progressed, replies[0].progressed, "seed {seed} @ {now}");
                 assert_eq!(r.cmd, replies[0].cmd, "seed {seed} @ {now}");
@@ -1733,16 +1632,25 @@ mod tests {
             }
             for s in &shards[1..] {
                 assert_eq!(s.queued(), shards[0].queued(), "seed {seed} @ {now}");
+                assert_eq!(
+                    s.blocked_cycles, shards[0].blocked_cycles,
+                    "seed {seed} @ {now}"
+                );
+                assert_eq!(
+                    s.throttle_cycles, shards[0].throttle_cycles,
+                    "seed {seed} @ {now}"
+                );
             }
             match replies[0].cmd {
-                Some((_, DramCommand::Act { .. })) => acts += 1,
-                Some((_, DramCommand::Rd { .. } | DramCommand::Wr { .. })) => cas += 1,
-                Some((_, DramCommand::Ref { .. })) => refs += 1,
+                Some((_, DramCommand::Act { .. })) => cov.acts += 1,
+                Some((_, DramCommand::Rd { .. } | DramCommand::Wr { .. })) => cov.cas += 1,
+                Some((_, DramCommand::Ref { .. })) => cov.refs += 1,
                 _ => {}
             }
             let mins: Vec<Cycle> = shards
                 .iter_mut()
-                .map(|s| s.next_min(now, &mut mit))
+                .zip(mits.iter_mut())
+                .map(|(s, m)| s.next_min(now, &mut **m))
                 .collect();
             // The calendar's exact refresh wake may legitimately exceed
             // the scan's conservative pin — but never undercut it, and the
@@ -1787,23 +1695,46 @@ mod tests {
         for s in &shards[1..] {
             assert_eq!(shards[0].queued(), s.queued(), "seed {seed}");
         }
-        (acts, cas, refs)
+        cov.blocked_cycles = shards[0].blocked_cycles;
+        cov.throttle_cycles = shards[0].throttle_cycles;
+        cov
     }
 
     #[test]
     fn engines_agree_on_randomized_sequences() {
-        let mut covered = (0u64, 0u64, 0u64);
-        for seed in 0..cases(12) {
-            let (a, c, r) = drive_twins(0xCA1E_0000 + seed);
-            covered.0 += a;
-            covered.1 += c;
-            covered.2 += r;
+        for scheme in [TwinScheme::None, TwinScheme::Rrs, TwinScheme::BlockHammer] {
+            let mut covered = Coverage::default();
+            for seed in 0..cases(12) {
+                let c = drive_twins(0xCA1E_0000 + seed, scheme);
+                covered.acts += c.acts;
+                covered.cas += c.cas;
+                covered.refs += c.refs;
+                covered.blocked_cycles += c.blocked_cycles;
+                covered.throttle_cycles += c.throttle_cycles;
+            }
+            // The sweep as a whole must have exercised the interesting
+            // command classes and the scheme's own side effect, or the
+            // agreement above proved nothing.
+            assert!(
+                covered.acts > 0,
+                "{scheme:?}: no ACTs issued across the sweep"
+            );
+            assert!(
+                covered.cas > 0,
+                "{scheme:?}: no CAS issued across the sweep"
+            );
+            assert!(
+                covered.refs > 0,
+                "{scheme:?}: no REFs issued across the sweep"
+            );
+            match scheme {
+                TwinScheme::None => {}
+                TwinScheme::Rrs => assert!(covered.blocked_cycles > 0, "RRS never swapped"),
+                TwinScheme::BlockHammer => {
+                    assert!(covered.throttle_cycles > 0, "BlockHammer never throttled")
+                }
+            }
         }
-        // The sweep as a whole must have exercised the interesting command
-        // classes, or the agreement above proved nothing.
-        assert!(covered.0 > 0, "no ACTs issued across the sweep");
-        assert!(covered.1 > 0, "no CAS issued across the sweep");
-        assert!(covered.2 > 0, "no REFs issued across the sweep");
     }
 
     #[test]
@@ -1811,7 +1742,7 @@ mod tests {
         // After any randomized drive, a calendar shard's examined pool and
         // parked pool stay disjoint subsets of the active set.
         let mut shard = build_shard(Engine::Fast, PagePolicy::Open, 4);
-        let mut mit = AnyMitigation::from(Box::new(NoMitigation::new()) as Box<dyn Mitigation>);
+        let mut mit = NoMitigation::new();
         let mut rng = Xoshiro256::seed_from_u64(0xD15_701);
         let banks = twin_geometry().total_banks() as usize;
         let rows = twin_geometry().rows_per_bank();

@@ -1,7 +1,7 @@
 //! The memory-system engine: FR-FCFS scheduling, refresh, RFM, mitigation
 //! hooks, and the fault model, advanced on one deterministic timeline.
 //!
-//! All per-channel scheduler state lives in [`ChannelShard`]s (see
+//! All per-channel scheduler state lives in `ChannelShard`s (see
 //! `crate::shard`), and [`MemSystem`] is the coordinator: it owns the
 //! cores, request admission, the completion event queue, the watchdog, and
 //! the device's bookkeeping (stats/history/trace). One run loop steps every
@@ -17,7 +17,7 @@ use shadow_dram::device::DramDevice;
 use shadow_dram::geometry::DramGeometry;
 use shadow_dram::mapping::AddressMapper;
 use shadow_dram::rfm::RaaCounters;
-use shadow_mitigations::{AboSpec, AnyMitigation, Mitigation, Retranslate};
+use shadow_mitigations::{AboSpec, Mitigation, Retranslate};
 use shadow_rh::HammerLedger;
 use shadow_sim::events::EventQueue;
 use shadow_sim::profiler::PhaseProfile;
@@ -37,10 +37,9 @@ pub struct MemSystem {
     cfg: SystemConfig,
     device: DramDevice,
     mapper: AddressMapper,
-    /// The whole mitigation, devirtualized at the assembly boundary
-    /// (built-in schemes dispatch by enum tag in the hot loop; unknown
-    /// schemes ride the [`AnyMitigation::Dyn`] fallback).
-    mitigation: AnyMitigation,
+    /// The whole mitigation, as given. The shards call it through one
+    /// `&mut dyn Mitigation` per pass.
+    mitigation: Box<dyn Mitigation>,
     shards: Vec<ChannelShard>,
     /// The mitigation's Alert Back-Off contract, captured once at assembly
     /// for the shards and the conformance oracle.
@@ -192,7 +191,7 @@ impl MemSystem {
             now: 0,
             cfg,
             device,
-            mitigation: AnyMitigation::from(mitigation),
+            mitigation,
         })
     }
 
@@ -209,7 +208,7 @@ impl MemSystem {
 
     /// The mitigation (for inspection in tests).
     pub fn mitigation(&self) -> &dyn Mitigation {
-        &self.mitigation
+        &*self.mitigation
     }
 
     /// The mitigation's Alert Back-Off contract as captured at assembly.
@@ -301,7 +300,7 @@ impl MemSystem {
         } = self;
         replies.clear();
         for shard in shards.iter_mut() {
-            replies.push(shard.pass(now, mitigation));
+            replies.push(shard.pass(now, &mut **mitigation));
         }
         // Canonical merge: refresh-phase commands in channel order, then
         // scheduler-phase commands in channel order (§3 walks ranks
@@ -354,7 +353,7 @@ impl MemSystem {
         let mut legacy_min = Cycle::MAX;
         let mut all_skip = true;
         for shard in shards.iter_mut() {
-            exact_min = exact_min.min(shard.next_min(now, mitigation));
+            exact_min = exact_min.min(shard.next_min(now, &mut **mitigation));
             legacy_min = legacy_min.min(shard.legacy_next());
             all_skip &= shard.skip_ok();
         }

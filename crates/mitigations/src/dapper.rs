@@ -81,7 +81,7 @@ impl DecrementTable {
     }
 }
 
-/// The DAPPER mitigation: one [`DecrementTable`] per bank, serviced
+/// The DAPPER mitigation: one `DecrementTable` per bank, serviced
 /// through the JEDEC RFM interface.
 #[derive(Debug)]
 pub struct Dapper {

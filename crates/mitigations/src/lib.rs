@@ -42,9 +42,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod any;
 pub mod blockhammer;
 pub mod dapper;
 pub mod drr;
@@ -62,7 +62,6 @@ pub mod rrs;
 pub mod shadow;
 pub mod traits;
 
-pub use any::AnyMitigation;
 pub use blockhammer::BlockHammer;
 pub use dapper::Dapper;
 pub use drr::Drr;

@@ -75,12 +75,10 @@ pub struct AboSpec {
 /// rows are bank-relative. Implementations must be deterministic given
 /// their construction-time RNG seeds. `Send` is part of the contract:
 /// parallel sweeps build and run each cell's system on a worker thread,
-/// and every scheme is plain owned data. `Any` is too: the
-/// simulator devirtualizes `Box<dyn Mitigation>` into the
-/// [`AnyMitigation`](crate::AnyMitigation) enum by type id, so the hot
-/// translate/activate path monomorphizes over the built-in schemes; every
-/// scheme is `'static` owned data, so the bound costs implementors nothing.
-pub trait Mitigation: std::fmt::Debug + Send + std::any::Any {
+/// and every scheme is plain owned data. The simulator holds the scheme as
+/// the `Box<dyn Mitigation>` it is given and calls it through
+/// `&mut dyn Mitigation`.
+pub trait Mitigation: std::fmt::Debug + Send {
     /// Scheme name for reports ("SHADOW", "PARFM", ...).
     fn name(&self) -> &'static str;
 

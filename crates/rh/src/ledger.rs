@@ -16,7 +16,7 @@
 //!
 //! A row the run never touches holds zero disturbance, so the ledger keeps
 //! its per-row accumulators in one page per subarray
-//! ([`Paged`](shadow_sim::Paged)), allocated on the first ACT into that
+//! ([`Paged`]), allocated on the first ACT into that
 //! subarray. A victim always shares its aggressor's subarray, so one ACT
 //! touches one page. A row whose page does not exist reads as zero, and a
 //! restore of such a row is a no-op. Memory follows the subarrays a run
