@@ -7,7 +7,7 @@
 
 use shadow_analysis::montecarlo::{McParams, MonteCarlo, Scenario};
 use shadow_bench::{
-    banner, bench_threads, build_mitigation, request_target, run_parallel, workload, Scheme,
+    banner, build_mitigation, host_cpus, run_parallel, workload, BenchArgs, Scheme,
 };
 use shadow_core::timing::ShadowTiming;
 use shadow_crypto::{Lfsr, PrinceRng, RandomSource};
@@ -32,9 +32,10 @@ fn timing_variant(pairing: bool, isolation: bool) -> (String, u64) {
 
 fn main() {
     banner("Ablation 1+2: microarchitectural optimizations (timing and performance)");
-    println!("({} worker threads)", bench_threads());
+    let args = BenchArgs::from_args();
+    println!("({} worker threads)", host_cpus());
     let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = request_target();
+    cfg.target_requests = args.requests();
     let variants = [
         (true, true, "pairing + isolation (SHADOW)"),
         (false, true, "no pairing"),
@@ -67,7 +68,7 @@ fn main() {
             .run()
         }));
     }
-    let mut reports = run_parallel(jobs, bench_threads()).into_iter();
+    let mut reports = run_parallel(jobs, host_cpus()).into_iter();
     let base = reports.next().expect("baseline report");
     for ((pairing, isolation, label), rep) in variants.into_iter().zip(reports) {
         let (desc, _) = timing_variant(pairing, isolation);

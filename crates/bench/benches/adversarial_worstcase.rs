@@ -9,7 +9,7 @@
 //!   ACT rate) — drives the theoretically highest per-bank RFM frequency;
 //!   paper bound: < 9% degradation including the RFM slots.
 
-use shadow_bench::{banner, bench_threads, build_mitigation, request_target, run_parallel, Scheme};
+use shadow_bench::{banner, build_mitigation, host_cpus, run_parallel, BenchArgs, Scheme};
 use shadow_dram::mapping::AddressMapper;
 use shadow_memsys::{MemSystem, SystemConfig};
 use shadow_sim::rng::Xoshiro256;
@@ -75,9 +75,10 @@ fn focused_streams(
 
 fn main() {
     banner("Adversarial worst case (DDR4-2666, H_cnt = 4K)");
-    println!("({} worker threads)", bench_threads());
+    let args = BenchArgs::from_args();
+    println!("({} worker threads)", host_cpus());
     let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = request_target();
+    cfg.target_requests = args.requests();
 
     // All six (pattern × scheme) runs are independent: fan them out as one
     // batch over the worker pool, in the fixed order consumed below.
@@ -141,7 +142,7 @@ fn main() {
             .run()
         }),
     ];
-    let mut reports = run_parallel(jobs, bench_threads()).into_iter();
+    let mut reports = run_parallel(jobs, host_cpus()).into_iter();
     let (base, shadow) = (
         reports.next().expect("base"),
         reports.next().expect("shadow"),

@@ -5,14 +5,14 @@
 //! TRR schemes must refresh `2 × radius` victims per RFM and tighten their
 //! RAAIMT, so their cost grows with the radius — the paper's crossover is
 //! at radius ≈ 2. The sweep is `recipes/fig10.toml`, run through the
-//! campaign engine.
+//! campaign engine. Takes `-- [--requests N] [--manifest PATH] [--oracle]`.
 
-use shadow_bench::{banner, cell};
+use shadow_bench::{banner, cell, BenchArgs};
 use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
     banner("Figure 10: blast-radius sensitivity (relative performance, DDR4-2666, H_cnt = 4K)");
-    let series = launch("fig10");
+    let series = launch("fig10", &BenchArgs::from_args());
     let schemes = distinct(series.iter().map(|r| r.cell.2));
     let radii = distinct(series.iter().map(|r| r.cell.0.rh.blast_radius));
 

@@ -7,10 +7,11 @@
 //! while SHADOW's in-DRAM shuffles ride the chip-internal bandwidth.
 //!
 //! The sweep is `recipes/fig11.toml`, run through the campaign engine:
-//! every (workload, H_cnt, scheme) cell fans out over
-//! `SHADOW_BENCH_THREADS` workers, bit-identical to the serial sweep.
+//! every (workload, H_cnt, scheme) cell fans out over the worker threads,
+//! bit-identical to the serial sweep. Takes
+//! `-- [--requests N] [--manifest PATH] [--oracle]`.
 
-use shadow_bench::{banner, bench_threads, cell, ResultTable};
+use shadow_bench::{banner, cell, BenchArgs, ResultTable};
 use shadow_campaign::figure::{distinct, launch};
 use shadow_sim::stats::geomean;
 
@@ -26,8 +27,7 @@ fn row_of(workload: &str) -> &str {
 
 fn main() {
     banner("Figure 11: DDR5-4800 architectural simulation (relative weighted speedup)");
-    println!("({} worker threads)", bench_threads());
-    let series = launch("fig11");
+    let series = launch("fig11", &BenchArgs::from_args());
     let schemes = distinct(series.iter().map(|r| r.cell.2));
     let hcnts = distinct(series.iter().map(|r| r.cell.0.rh.h_cnt));
 

@@ -3,10 +3,11 @@
 //! across H_cnt from 16K to 2K.
 
 use shadow_analysis::power::{PowerModel, PowerReport, SchemeEnergy};
-use shadow_bench::{banner, build_mitigation, request_target, workload, Scheme};
+use shadow_bench::{banner, build_mitigation, workload, BenchArgs, Scheme};
 use shadow_memsys::{MemSystem, SystemConfig};
 
 fn main() {
+    let args = BenchArgs::from_args();
     banner("Figure 12: relative system power and RFM/REF ratio (DDR4-2666)");
     let pm = PowerModel::ddr4_2666();
     let ranks = 8; // 4 channels x 2 ranks (Table IV)
@@ -19,7 +20,7 @@ fn main() {
         );
         for h in [16384u64, 8192, 4096, 2048] {
             let mut cfg = SystemConfig::ddr4_actual_system();
-            cfg.target_requests = request_target();
+            cfg.target_requests = args.requests();
             cfg.rh.h_cnt = h;
 
             let base_rep = MemSystem::new(

@@ -4,16 +4,15 @@
 //! mixes (actual-system substitute; DDR4-2666, H_cnt = 4K).
 //!
 //! The sweep is `recipes/fig8.toml`, run through the campaign engine: every
-//! (workload × scheme) cell fans out over `SHADOW_BENCH_THREADS` workers,
-//! bit-identical to a serial sweep.
+//! (workload × scheme) cell fans out over the worker threads, bit-identical
+//! to a serial sweep. Takes `-- [--requests N] [--manifest PATH] [--oracle]`.
 
-use shadow_bench::{banner, bench_threads, cell, ResultTable};
+use shadow_bench::{banner, cell, BenchArgs, ResultTable};
 use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
     banner("Figure 8: relative performance vs unprotected baseline (DDR4-2666, H_cnt = 4K)");
-    println!("({} worker threads)", bench_threads());
-    let series = launch("fig8");
+    let series = launch("fig8", &BenchArgs::from_args());
     let schemes = distinct(series.iter().map(|r| r.cell.2));
     let workloads = distinct(series.iter().map(|r| r.cell.1.as_str()));
 

@@ -3,12 +3,12 @@
 //! mix-blend, normalized to the tRCD = 19 unprotected baseline.
 //!
 //! Each grid cell builds its own baseline + SHADOW pair, so the whole grid
-//! fans out as closures over `SHADOW_BENCH_THREADS` workers via
+//! fans out as closures over one worker per host CPU via
 //! [`run_parallel`] — the closure-shaped escape hatch for sweeps that
 //! override timing parameters instead of going through [`Scheme`] cells.
 
 use shadow_bench::{
-    banner, bench_threads, build_mitigation, cell, request_target, run_parallel, workload, Scheme,
+    banner, build_mitigation, cell, host_cpus, run_parallel, workload, BenchArgs, Scheme,
 };
 use shadow_memsys::{MemSystem, SystemConfig};
 
@@ -35,9 +35,10 @@ fn run_with_trcd_extra(cfg: SystemConfig, wname: &str, extra: u64, h_cnt: u64) -
 
 fn main() {
     banner("Figure 9: SHADOW tRCD sensitivity (normalized to tRCD19 baseline)");
-    println!("({} worker threads)", bench_threads());
+    let args = BenchArgs::from_args();
+    println!("({} worker threads)", host_cpus());
     let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = request_target();
+    cfg.target_requests = args.requests();
 
     let trcds = [(23u64, 4u64), (25, 6), (27, 8)]; // (tRCD' label, extra tCK)
     let hcnts = [16384u64, 8192, 4096, 2048];
@@ -52,7 +53,7 @@ fn main() {
             }
         }
     }
-    let grid = run_parallel(jobs, bench_threads());
+    let grid = run_parallel(jobs, host_cpus());
 
     let mut it = grid.into_iter();
     for wname in workloads {

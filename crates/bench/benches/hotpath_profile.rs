@@ -29,15 +29,16 @@
 //! hoisted-gate skip counters (bank visits short-circuited by the
 //! per-pass rank gate, passes short-circuited by the channel bus gate).
 //!
-//! Tune the slice with `SHADOW_BENCH_REQS` (the CI smoke run uses 2000;
-//! the default is 60 000).
+//! Takes `-- [--requests N] [--oracle]`: `--requests` sizes the slice
+//! (the CI smoke run uses 2000; the default is 60 000), and `--oracle`
+//! replays every cell of every leg through the protocol oracle.
 
 use std::time::Instant;
 
 use shadow_bench::json::Json;
 use shadow_bench::{
-    banner, engine_sweep_cells, host_cpus, provenance_json, request_target, run_cells_with,
-    workspace_root, Cell, CellResult,
+    banner, engine_sweep_cells, host_cpus, provenance_json, try_timed_run, workspace_root,
+    BenchArgs, Cell, CellResult, RunOptions,
 };
 use shadow_memsys::Engine;
 use shadow_sim::profiler::{Phase, PhaseProfile, SAMPLE_RATE};
@@ -47,20 +48,26 @@ use shadow_sim::profiler::{Phase, PhaseProfile, SAMPLE_RATE};
 const REPEATS: usize = 2;
 
 /// One serial, wall-clock-timed run of `cells`.
-fn timed_sweep(cells: &[Cell]) -> (Vec<CellResult>, f64) {
+fn timed_sweep(cells: &[Cell], opts: RunOptions) -> (Vec<CellResult>, f64) {
     let t0 = Instant::now();
-    let out = run_cells_with(1, cells.to_vec());
+    let out = cells
+        .iter()
+        .map(|(cfg, w, s)| try_timed_run(*cfg, w, *s, opts).unwrap_or_else(|e| panic!("{w}: {e}")))
+        .collect();
     (out, t0.elapsed().as_secs_f64())
 }
 
 /// Runs every leg once per round, in turn, for [`REPEATS`] rounds; returns
 /// each leg's outputs and best wall time. Outputs are deterministic, so
 /// the rounds differ only in wall time.
-fn best_of_interleaved<const N: usize>(legs: [&[Cell]; N]) -> [(Vec<CellResult>, f64); N] {
-    let mut best = legs.map(timed_sweep);
+fn best_of_interleaved<const N: usize>(
+    legs: [&[Cell]; N],
+    opts: RunOptions,
+) -> [(Vec<CellResult>, f64); N] {
+    let mut best = legs.map(|leg| timed_sweep(leg, opts));
     for _ in 1..REPEATS {
         for (leg, b) in legs.iter().zip(&mut best) {
-            b.1 = b.1.min(timed_sweep(leg).1);
+            b.1 = b.1.min(timed_sweep(leg, opts).1);
         }
     }
     best
@@ -94,11 +101,16 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
 
 fn main() {
     banner("Hot-path profile: fast engine vs reference engine");
-    let cells = engine_sweep_cells();
+    let args = BenchArgs::from_args();
+    let opts = RunOptions {
+        oracle: args.oracle,
+        ..RunOptions::default()
+    };
+    let cells = engine_sweep_cells(args.requests());
     println!(
         "sweep: {} cells ({} requests each), serial, {} host CPU(s)",
         cells.len(),
-        request_target(),
+        args.requests(),
         host_cpus(),
     );
     println!("(best of {REPEATS} interleaved repetitions per leg)");
@@ -108,10 +120,10 @@ fn main() {
 
     // Warm-up: one cell outside any measurement, so process start-up
     // (page-in, CPU governor ramp) lands on nobody's clock.
-    let _ = run_cells_with(1, vec![cells[0].clone()]);
+    let _ = timed_sweep(&cells[..1], opts);
 
     let [(calendar, calendar_secs), (reference, reference_secs), (profiled, profiled_secs)] =
-        best_of_interleaved([&cells, &reference_cells, &profiled_cells]);
+        best_of_interleaved([&cells, &reference_cells, &profiled_cells], opts);
 
     // Fidelity gates: neither the engine nor the profiler may change a
     // single outcome.
@@ -211,7 +223,7 @@ fn main() {
     let provenance = Json::parse(&provenance_json()).expect("provenance block is valid JSON");
     let doc = obj(vec![
         ("sweep_cells", Json::u64(cells.len() as u64)),
-        ("requests_per_cell", Json::u64(request_target())),
+        ("requests_per_cell", Json::u64(args.requests())),
         ("host_cpus", Json::u64(host_cpus() as u64)),
         ("sim_cycles_total", Json::u64(sim_cycles)),
         (

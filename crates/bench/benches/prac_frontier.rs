@@ -17,17 +17,16 @@
 //! evictions (DAPPER's performance-attack-resilience metric).
 //!
 //! The sweep is `recipes/prac_frontier.toml`, run through the campaign
-//! engine.
+//! engine. Takes `-- [--requests N] [--manifest PATH] [--oracle]`.
 
-use shadow_bench::{banner, bench_threads, cell, ResultTable};
+use shadow_bench::{banner, cell, BenchArgs, ResultTable};
 use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
     banner(
         "PRAC-era frontier: PRAC / PRACtical / DAPPER vs SHADOW and RRS (DDR4-2666, H_cnt = 4K)",
     );
-    println!("({} worker threads)", bench_threads());
-    let series = launch("prac_frontier");
+    let series = launch("prac_frontier", &BenchArgs::from_args());
 
     let mut header = vec!["workload", "scheme", "rel_perf"];
     header.extend(["abo_events", "abo_recovery_cycles", "tracker_evictions"]);

@@ -5,10 +5,11 @@
 //! without weakening protection — attack traffic is concentrated by
 //! necessity and passes the filter at full rate.
 
-use shadow_bench::{banner, build_mitigation, request_target, workload, Scheme};
+use shadow_bench::{banner, build_mitigation, workload, BenchArgs, Scheme};
 use shadow_memsys::{MemSystem, SystemConfig};
 
 fn main() {
+    let args = BenchArgs::from_args();
     banner("RFM filtering (paper §VIII): plain SHADOW vs SHADOW+filter");
     println!(
         "{:<12} {:>8} | {:>10} {:>10} | {:>10} {:>10}",
@@ -17,7 +18,7 @@ fn main() {
     for wname in ["mix-high", "mix-blend", "random-stream"] {
         for h in [4096u64, 2048] {
             let mut cfg = SystemConfig::ddr4_actual_system();
-            cfg.target_requests = request_target();
+            cfg.target_requests = args.requests();
             cfg.rh.h_cnt = h;
 
             let base = MemSystem::new(

@@ -564,8 +564,14 @@ pub fn report_from_json(j: &Json) -> Result<SimReport, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{timed_run, Scheme};
+    use crate::{try_timed_run, RunOptions, Scheme};
     use shadow_memsys::SystemConfig;
+
+    fn report(cfg: SystemConfig, scheme: Scheme) -> SimReport {
+        try_timed_run(cfg, "random-stream", scheme, RunOptions::default())
+            .expect("cell runs")
+            .report
+    }
 
     #[test]
     fn scalar_round_trips() {
@@ -625,7 +631,7 @@ mod tests {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 300;
         // A scheme with flips and RFMs so every report field is non-trivial.
-        let r = timed_run(cfg, "random-stream", Scheme::Parfm).report;
+        let r = report(cfg, Scheme::Parfm);
         let encoded = report_to_json(&r).to_json();
         let decoded = report_from_json(&Json::parse(&encoded).expect("parses")).expect("decodes");
         assert_eq!(r, decoded);
@@ -638,7 +644,7 @@ mod tests {
         // The aggressive tiny threshold makes alerts certain, so the ABO
         // fields round-trip with non-trivial values.
         cfg.rh = shadow_rh::RhParams::new(16, 1);
-        let r = timed_run(cfg, "random-stream", Scheme::Practical).report;
+        let r = report(cfg, Scheme::Practical);
         assert!(r.abo_events > 0, "cell produced no alerts to round-trip");
         assert!(r.abo_recovery_cycles > 0);
         let decoded =
@@ -654,7 +660,7 @@ mod tests {
     fn pre_prac_checkpoints_decode_with_zero_abo_fields() {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 300;
-        let r = timed_run(cfg, "random-stream", Scheme::Baseline).report;
+        let r = report(cfg, Scheme::Baseline);
         // Strip the PRAC-era fields, emulating a manifest written before
         // they existed.
         let Json::Obj(fields) = report_to_json(&r) else {
@@ -683,7 +689,7 @@ mod tests {
     fn gate_skip_counters_round_trip_and_zero_default() {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 300;
-        let r = timed_run(cfg, "random-stream", Scheme::Baseline).report;
+        let r = report(cfg, Scheme::Baseline);
         assert!(
             !r.gate_rank_skips.is_empty(),
             "a run reports one rank-skip counter per rank"

@@ -6,36 +6,17 @@
 //! binary that runs the experiment and prints the paper's rows/series;
 //! `cargo bench --workspace` therefore reproduces the whole evaluation.
 //!
-//! Environment knobs:
+//! Every experiment input lives in a recipe, a [`SystemConfig`] or the
+//! command line; nothing is read from the process environment. The bench
+//! targets that simulate take one argv grammar, [`BenchArgs`]:
+//! `cargo bench -p shadow-bench --bench fig8_perf -- --requests 2000`.
+//! Worker threads come from the recipe's `threads`, else the host CPU
+//! count ([`host_cpus`]). Results are bit-identical at any thread count:
+//! every cell is an independent simulation with its own fixed seed
+//! ([`stream_seed`]), and [`run_parallel`] returns results in job order
+//! regardless of which worker finished first.
 //!
-//! * `SHADOW_BENCH_REQS` — completed-request target per simulation run
-//!   (default 60 000; raise for tighter confidence).
-//! * `SHADOW_BENCH_CORES` — cores per multiprogrammed mix (default 14).
-//! * `SHADOW_BENCH_TIME_SCALE` — down-scaling of window-relative
-//!   thresholds (default 1/16; see [`time_scale`]).
-//! * `SHADOW_BENCH_THREADS` — sweep worker threads (default and `0`:
-//!   available parallelism). Results are bit-identical at any thread
-//!   count: every cell is an independent simulation with its own fixed
-//!   seed, and [`run_parallel`] returns results in job order regardless
-//!   of which worker finished first.
-//! * `SHADOW_BENCH_WATCHDOG` — forward-progress watchdog window in
-//!   cycles for cells whose config leaves
-//!   `SystemConfig::watchdog_window` at 0 (default: off). A stalled
-//!   cell then fails fast with `SimError::Stalled` and a diagnostic
-//!   snapshot instead of burning to `max_cycles`.
-//! * `SHADOW_BENCH_RESUME` — path to a JSONL checkpoint manifest for the
-//!   figure sweeps (`fig8_perf`, `fig10_blast`, `fig11_sim`,
-//!   `prac_frontier`); completed cells are appended and restored on
-//!   re-run, so an interrupted sweep resumes bit-identically (see
-//!   EXPERIMENTS.md "Failure handling & resume"). Retries and per-cell
-//!   deadlines are the recipe's `[campaign]` keys, not env knobs.
-//! * `SHADOW_BENCH_ORACLE` — a flag: any non-empty value other than `0`
-//!   replays every run's command trace through the conformance oracle
-//!   (see [`oracle_enabled`]).
-//!
-//! The valued knobs are parsed with [`env_parsed`]: unset falls back to
-//! the default, but a *set-and-malformed* value is a typed [`BenchError`]
-//! naming the variable — never a silent fallback.
+//! [`try_timed_run`] is the one function that runs a cell.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,9 +25,11 @@ pub mod json;
 pub mod runner;
 
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use shadow_conformance::{Fault, FaultyMitigation};
 use shadow_core::bank::ShadowConfig;
 use shadow_core::timing::ShadowTiming;
 use shadow_memsys::{Engine, MemSystem, SimError, SimReport, SystemConfig};
@@ -149,20 +132,13 @@ impl Scheme {
 
 /// Why a bench-harness operation failed.
 ///
-/// Everything a sweep can hit short of a hard panic: malformed environment
-/// knobs, unknown workload names, simulation errors (bad config, watchdog
-/// stall), and checkpoint-manifest I/O. The per-cell runner
+/// Everything a sweep can hit short of a hard panic: unknown workload
+/// names, simulation errors (bad config, watchdog stall), and
+/// checkpoint-manifest I/O or key-version mismatches. The per-cell runner
 /// ([`runner::run_cell_with_retry`]) maps these into per-cell outcomes so
 /// one bad cell cannot kill a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BenchError {
-    /// An environment knob is set to something unparseable.
-    Env {
-        /// The variable name.
-        var: &'static str,
-        /// What was wrong and what a valid value looks like.
-        why: String,
-    },
     /// A workload name did not resolve.
     Workload {
         /// The requested name.
@@ -179,15 +155,32 @@ pub enum BenchError {
         /// The underlying error.
         why: String,
     },
+    /// A well-formed checkpoint-manifest line carries a missing or foreign
+    /// [`runner::KEY_VERSION`]: its fingerprints were computed by another
+    /// key, so none of its cells could ever be restored.
+    KeyVersion {
+        /// The manifest.
+        path: String,
+        /// 1-based line number of the first offending line.
+        line: usize,
+        /// The version the line records (`None`: no version).
+        found: Option<u64>,
+    },
 }
 
 impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BenchError::Env { var, why } => write!(f, "environment variable {var}: {why}"),
             BenchError::Workload { name, why } => write!(f, "workload `{name}`: {why}"),
             BenchError::Sim(e) => write!(f, "{e}"),
             BenchError::Io { path, why } => write!(f, "{path}: {why}"),
+            BenchError::KeyVersion { path, line, found } => write!(
+                f,
+                "{path}:{line}: checkpoint key version {}, but this build keys checkpoints \
+                 with version {}; move the manifest aside to start afresh",
+                found.map_or("none".into(), |v| v.to_string()),
+                runner::KEY_VERSION
+            ),
         }
     }
 }
@@ -200,40 +193,11 @@ impl From<SimError> for BenchError {
     }
 }
 
-/// Parses env knob `var`, returning `default` when unset.
-///
-/// A *set but malformed* value is an error naming the variable — silently
-/// falling back to the default (the old behaviour) made a typo'd
-/// `SHADOW_BENCH_REQS=60k` run a completely different experiment than
-/// asked.
-pub fn env_parsed<T>(var: &'static str, default: T) -> Result<T, BenchError>
-where
-    T: std::str::FromStr,
-    T::Err: fmt::Display,
-{
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(raw) => raw.parse().map_err(|e| BenchError::Env {
-            var,
-            why: format!("`{raw}` did not parse: {e}"),
-        }),
-    }
-}
+/// Completed-request target of a bench run without `--requests`.
+pub const DEFAULT_REQUESTS: u64 = 60_000;
 
-/// Completed-request target per run (env-tunable).
-///
-/// # Panics
-///
-/// Panics with the variable name if `SHADOW_BENCH_REQS` is set but
-/// malformed (use [`try_request_target`] for the fallible form).
-pub fn request_target() -> u64 {
-    try_request_target().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`request_target`] without the panic.
-pub fn try_request_target() -> Result<u64, BenchError> {
-    env_parsed("SHADOW_BENCH_REQS", 60_000)
-}
+/// Cores per multiprogrammed mix: the Table IV machine's 14.
+pub const MIX_CORES: usize = 14;
 
 /// Down-scaling factor for *window-relative* thresholds (RRS's swap
 /// threshold and BlockHammer's blacklist are defined per tREFW ≈ 85M
@@ -241,25 +205,13 @@ pub fn try_request_target() -> Result<u64, BenchError> {
 /// windows are multiplied by this factor so the schemes operate at the
 /// same per-window trigger rates they would over a full window — the
 /// standard time-dilation used when simulating window-scoped mechanisms on
-/// short slices (documented in DESIGN.md §2). Override with
-/// `SHADOW_BENCH_TIME_SCALE` (set to 1.0 for full-window runs).
-pub fn time_scale() -> f64 {
-    env_parsed("SHADOW_BENCH_TIME_SCALE", 1.0 / 16.0).unwrap_or_else(|e| panic!("{e}"))
-}
+/// short slices (documented in DESIGN.md §2).
+pub const TIME_SCALE: f64 = 1.0 / 16.0;
 
-/// Cores per multiprogrammed mix (env-tunable; default matches the
-/// Table IV machine's 14 cores).
-///
-/// # Panics
-///
-/// Panics with the variable name if `SHADOW_BENCH_CORES` is set but
-/// malformed or zero.
-pub fn mix_cores() -> usize {
-    let cores: usize = env_parsed("SHADOW_BENCH_CORES", 14).unwrap_or_else(|e| panic!("{e}"));
-    if cores == 0 {
-        panic!("environment variable SHADOW_BENCH_CORES: a mix needs at least one core");
-    }
-    cores
+/// The stream seed every cell of `workload` runs with, so each scheme
+/// sees an identical stream set.
+pub fn stream_seed(workload: &str) -> u64 {
+    0xACE0_0000 + workload.len() as u64
 }
 
 /// Builds the mitigation for `scheme` sized for `cfg` and its `rh.h_cnt`,
@@ -268,22 +220,26 @@ pub fn build_mitigation(scheme: Scheme, cfg: &SystemConfig) -> Box<dyn Mitigatio
     let banks = cfg.geometry.total_banks() as usize;
     let rh = cfg.rh;
     let rows_sa = cfg.geometry.rows_per_subarray;
+    let scaled_h_cnt = ((rh.h_cnt as f64 * TIME_SCALE) as u64).max(64);
+    let scaled = || RhParams::new(scaled_h_cnt, rh.blast_radius);
+    let scaled_window = ((cfg.timing.t_refw as f64 * TIME_SCALE) as u64).max(1);
+    let shadow = || {
+        let scfg = ShadowConfig {
+            subarrays: cfg.geometry.subarrays_per_bank,
+            rows_per_subarray: rows_sa,
+        };
+        ShadowMitigation::new(
+            banks,
+            scfg,
+            ShadowMitigation::raaimt_for(rh.h_cnt),
+            &cfg.timing,
+            &ShadowTiming::paper_default(),
+            0xD1CE,
+        )
+    };
     match scheme {
         Scheme::Baseline => Box::new(NoMitigation::new()),
-        Scheme::Shadow => {
-            let scfg = ShadowConfig {
-                subarrays: cfg.geometry.subarrays_per_bank,
-                rows_per_subarray: rows_sa,
-            };
-            Box::new(ShadowMitigation::new(
-                banks,
-                scfg,
-                ShadowMitigation::raaimt_for(rh.h_cnt),
-                &cfg.timing,
-                &ShadowTiming::paper_default(),
-                0xD1CE,
-            ))
-        }
+        Scheme::Shadow => Box::new(shadow()),
         Scheme::Parfm => Box::new(
             Parfm::new(
                 banks,
@@ -299,81 +255,38 @@ pub fn build_mitigation(scheme: Scheme, cfg: &SystemConfig) -> Box<dyn Mitigatio
         Scheme::MithrilArea => {
             Box::new(Mithril::new(banks, MithrilClass::Area, rh).with_rows_per_subarray(rows_sa))
         }
-        Scheme::BlockHammer => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            let window = ((cfg.timing.t_refw as f64 * scale) as u64).max(1);
-            Box::new(BlockHammer::new(banks, scaled, window))
-        }
-        Scheme::Rrs => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            Box::new(Rrs::new(
-                banks,
-                cfg.geometry.rows_per_bank(),
-                scaled,
-                0x5A5A,
-            ))
-        }
+        Scheme::BlockHammer => Box::new(BlockHammer::new(banks, scaled(), scaled_window)),
+        Scheme::Rrs => Box::new(Rrs::new(
+            banks,
+            cfg.geometry.rows_per_bank(),
+            scaled(),
+            0x5A5A,
+        )),
         Scheme::Drr => Box::new(Drr::new()),
         Scheme::Para => Box::new(Para::for_h_cnt(rh, 0xBEEF).with_rows_per_subarray(rows_sa)),
         Scheme::Graphene => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            Box::new(Graphene::new(banks, scaled).with_rows_per_subarray(rows_sa))
+            Box::new(Graphene::new(banks, scaled()).with_rows_per_subarray(rows_sa))
         }
-        Scheme::Panopticon => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            Box::new(
-                Panopticon::new(banks, cfg.geometry.rows_per_bank(), scaled)
-                    .with_rows_per_subarray(rows_sa),
-            )
-        }
-        Scheme::Prac => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            Box::new(Prac::new(
-                banks,
-                cfg.geometry.rows_per_bank(),
-                rows_sa,
-                scaled,
-            ))
-        }
-        Scheme::Practical => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            Box::new(Prac::practical(
-                banks,
-                cfg.geometry.rows_per_bank(),
-                rows_sa,
-                scaled,
-            ))
-        }
-        Scheme::Dapper => {
-            let scale = time_scale();
-            let scaled = RhParams::new(((rh.h_cnt as f64 * scale) as u64).max(64), rh.blast_radius);
-            Box::new(Dapper::new(banks, scaled).with_rows_per_subarray(rows_sa))
-        }
+        Scheme::Panopticon => Box::new(
+            Panopticon::new(banks, cfg.geometry.rows_per_bank(), scaled())
+                .with_rows_per_subarray(rows_sa),
+        ),
+        Scheme::Prac => Box::new(Prac::new(
+            banks,
+            cfg.geometry.rows_per_bank(),
+            rows_sa,
+            scaled(),
+        )),
+        Scheme::Practical => Box::new(Prac::practical(
+            banks,
+            cfg.geometry.rows_per_bank(),
+            rows_sa,
+            scaled(),
+        )),
+        Scheme::Dapper => Box::new(Dapper::new(banks, scaled()).with_rows_per_subarray(rows_sa)),
         Scheme::ShadowFiltered => {
-            let scfg = ShadowConfig {
-                subarrays: cfg.geometry.subarrays_per_bank,
-                rows_per_subarray: rows_sa,
-            };
-            let inner = ShadowMitigation::new(
-                banks,
-                scfg,
-                ShadowMitigation::raaimt_for(rh.h_cnt),
-                &cfg.timing,
-                &ShadowTiming::paper_default(),
-                0xD1CE,
-            );
-            let scale = time_scale();
-            let watch = Filtered::<ShadowMitigation>::watch_threshold_for(
-                ((rh.h_cnt as f64 * scale) as u64).max(64),
-            );
-            let window = ((cfg.timing.t_refw as f64 * scale) as u64).max(1);
-            Box::new(Filtered::new(inner, banks, watch, window))
+            let watch = Filtered::<ShadowMitigation>::watch_threshold_for(scaled_h_cnt);
+            Box::new(Filtered::new(shadow(), banks, watch, scaled_window))
         }
     }
 }
@@ -397,7 +310,6 @@ pub fn try_workload(
     seed: u64,
 ) -> Result<Vec<Box<dyn RequestStream>>, BenchError> {
     let cap = cfg.capacity_bytes().max(1 << 30);
-    let cores = mix_cores();
     Ok(match name {
         "spec-high" => AppProfile::spec_high()
             .iter()
@@ -411,20 +323,20 @@ pub fn try_workload(
             .iter()
             .map(|p| Box::new(ProfileStream::new(*p, cap, seed)) as Box<dyn RequestStream>)
             .collect(),
-        "gapbs" => (0..cores.min(4))
+        "gapbs" => (0..4)
             .map(|i| {
                 Box::new(GraphStream::new("bfs", 1 << 22, cap, seed + i as u64))
                     as Box<dyn RequestStream>
             })
             .collect(),
-        "npb" => (0..cores.min(4))
+        "npb" => (0..4)
             .map(|i| {
                 Box::new(StencilStream::class_c("cg", cap, seed + i as u64))
                     as Box<dyn RequestStream>
             })
             .collect(),
-        "mix-high" => mix::mix_high(cores, cap, seed),
-        "mix-blend" => mix::mix_blend(cores, cap, seed),
+        "mix-high" => mix::mix_high(MIX_CORES, cap, seed),
+        "mix-blend" => mix::mix_blend(MIX_CORES, cap, seed),
         "random-stream" => {
             vec![Box::new(RandomStream::new(cap, seed)) as Box<dyn RequestStream>]
         }
@@ -434,7 +346,7 @@ pub fn try_workload(
                     name: other.to_string(),
                     why: format!("the mix-random-<N> suffix must be an integer (`{rest}`: {e})"),
                 })?;
-                mix::mix_random(cores, cap, seed ^ (idx.wrapping_mul(0x9E37)))
+                mix::mix_random(MIX_CORES, cap, seed ^ (idx.wrapping_mul(0x9E37)))
             } else if let Some(p) = AppProfile::by_name(other) {
                 vec![Box::new(ProfileStream::new(p, cap, seed)) as Box<dyn RequestStream>]
             } else {
@@ -447,14 +359,6 @@ pub fn try_workload(
             }
         }
     })
-}
-
-/// Whether `SHADOW_BENCH_ORACLE` asks sweep runs to record their command
-/// trace and replay it through the conformance oracle (any non-empty
-/// value other than `0`). Off by default: tracing is cheap but the replay
-/// is a full second pass over the command stream.
-pub fn oracle_enabled() -> bool {
-    std::env::var("SHADOW_BENCH_ORACLE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Replays `sys`'s recorded trace through the JEDEC oracle, panicking
@@ -486,78 +390,19 @@ fn oracle_check(sys: &mut MemSystem, cfg: &SystemConfig, scheme: Scheme, workloa
     );
 }
 
-/// Trace depth for oracle-enabled runs: deep enough that the default
-/// request target fits without eviction.
-const ORACLE_TRACE_DEPTH: usize = 1 << 22;
-
-/// Runs `workload_name` under `scheme` on `cfg`. With
-/// `SHADOW_BENCH_ORACLE` set, also records the command trace and replays
-/// it through the conformance oracle, panicking on any protocol
-/// violation.
-pub fn run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport {
-    let mut cfg = cfg;
-    let oracle = oracle_enabled();
-    if oracle && cfg.trace_depth == 0 {
-        cfg.trace_depth = ORACLE_TRACE_DEPTH;
-    }
-    let streams = workload(
-        workload_name,
-        &cfg,
-        0xACE0_0000 + workload_name.len() as u64,
-    );
-    let mitigation = build_mitigation(scheme, &cfg);
-    let mut sys = MemSystem::new(cfg, streams, mitigation);
-    let report = sys.run();
-    if oracle {
-        oracle_check(&mut sys, &cfg, scheme, workload_name);
-    }
-    report
-}
-
-/// Like [`run`] but on [`Engine::Reference`], the pre-optimization engine
-/// with every runtime-switchable fast path defeated: a translation per
-/// lookup and the full O(total banks) scan with no frontier memo. The
-/// FR-FCFS queue walk and the Row Hammer ledgers are the same code on
-/// both engines. The table-driven
-/// PRINCE core has no runtime switch — it is pinned to the published test
-/// vectors instead. Must produce a report identical to [`run`]; the
-/// determinism tests and the `hotpath_profile` bench both lean on that.
-pub fn run_uncached(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport {
-    let mut cfg = cfg;
-    cfg.engine = Engine::Reference;
-    run(cfg, workload_name, scheme)
-}
-
 /// Host CPU count visible to the process. Recorded in the bench JSON
 /// artifacts so thread-scaling numbers carry their hardware context.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Sweep worker threads: `SHADOW_BENCH_THREADS`, else available
-/// parallelism. An explicit `0` also means "auto-detect host CPUs".
-///
-/// # Panics
-///
-/// Panics with the variable name if `SHADOW_BENCH_THREADS` is set but
-/// malformed.
-pub fn bench_threads() -> usize {
-    let threads: usize =
-        env_parsed("SHADOW_BENCH_THREADS", host_cpus()).unwrap_or_else(|e| panic!("{e}"));
-    if threads == 0 {
-        host_cpus()
-    } else {
-        threads
-    }
-}
-
 /// The fig8-shaped 12-cell sweep slice the `hotpath_profile` bench
 /// measures: {spec-high, mix-high, random-stream} × {Baseline, SHADOW,
-/// RRS, PARFM} on the DDR4 system, so its cycles/sec numbers stay
-/// comparable across artifacts.
-pub fn engine_sweep_cells() -> Vec<Cell> {
+/// RRS, PARFM} on the DDR4 system at `requests` per cell, so its
+/// cycles/sec numbers stay comparable across artifacts.
+pub fn engine_sweep_cells(requests: u64) -> Vec<Cell> {
     let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = request_target();
+    cfg.target_requests = requests;
     let schemes = [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Parfm];
     ["spec-high", "mix-high", "random-stream"]
         .iter()
@@ -633,7 +478,7 @@ pub type Cell = (SystemConfig, String, Scheme);
 /// results are equal when their *simulated* outcomes are.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// The simulation outcome (identical to a serial [`run`]).
+    /// The simulation outcome.
     pub report: SimReport,
     /// Wall-clock seconds this cell took on its worker thread.
     pub wall_secs: f64,
@@ -656,69 +501,122 @@ impl CellResult {
     }
 }
 
-/// [`run`] with per-cell wall-clock measurement.
-pub fn timed_run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> CellResult {
-    let t0 = std::time::Instant::now();
-    let report = run(cfg, workload_name, scheme);
-    CellResult {
-        report,
-        wall_secs: t0.elapsed().as_secs_f64(),
-    }
+/// Trace depth for oracle-enabled runs: deep enough that the default
+/// request target fits without eviction.
+const ORACLE_TRACE_DEPTH: usize = 1 << 22;
+
+/// What a run adds to its cell's config.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunOptions {
+    /// [`Engine::Reference`] runs the cell on the reference engine (every
+    /// runtime-switchable fast path defeated); [`Engine::Fast`] keeps the
+    /// cell's own engine.
+    pub engine: Engine,
+    /// Record the command trace and replay it through the conformance
+    /// oracle, panicking with full context on any protocol violation.
+    /// Off by default: tracing is cheap but the replay is a full second
+    /// pass over the command stream.
+    pub oracle: bool,
+    /// Wrap the cell's mitigation in a [`FaultyMitigation`]: the
+    /// deterministic fault injection behind `[[fault]]` recipe entries.
+    pub fault: Option<Fault>,
 }
 
-/// Fallible, watchdog-aware [`timed_run`]: typed errors instead of
-/// panics for unknown workloads, invalid configs, and watchdog stalls.
+/// Runs one cell — `workload_name` under `scheme` on `cfg`, with the
+/// streams of [`stream_seed`] — and times it. The one function that runs
+/// a cell: the campaign engine, the benches and the tests all come here.
 ///
-/// When the config leaves the watchdog off, `SHADOW_BENCH_WATCHDOG`
-/// (cycles) arms it sweep-wide; cells that configure their own window keep
-/// it. [`Engine::Reference`] runs the cell on the reference engine exactly
-/// like [`run_uncached`] — the per-cell runner probes a failed cell there:
-/// if the retry succeeds, the fast path diverged from the reference engine
-/// and the cell result says so. [`Engine::Fast`] keeps the cell's own
-/// engine.
+/// The wall time covers `MemSystem::try_new` and the run, not the stream
+/// and mitigation builds.
+///
+/// # Errors
+///
+/// Typed errors instead of panics for unknown workloads, invalid configs,
+/// and watchdog stalls (armed by the config's `watchdog_window`).
 pub fn try_timed_run(
     cfg: SystemConfig,
     workload_name: &str,
     scheme: Scheme,
-    mode: Engine,
+    opts: RunOptions,
 ) -> Result<CellResult, BenchError> {
     let mut cfg = cfg;
-    if cfg.watchdog_window == 0 {
-        cfg.watchdog_window = env_parsed("SHADOW_BENCH_WATCHDOG", 0)?;
-    }
-    let oracle = oracle_enabled();
-    if oracle && cfg.trace_depth == 0 {
+    if opts.oracle && cfg.trace_depth == 0 {
         cfg.trace_depth = ORACLE_TRACE_DEPTH;
     }
-    if mode == Engine::Reference {
+    if opts.engine == Engine::Reference {
         cfg.engine = Engine::Reference;
     }
-    let streams = try_workload(
-        workload_name,
-        &cfg,
-        0xACE0_0000 + workload_name.len() as u64,
-    )?;
-    let mitigation = build_mitigation(scheme, &cfg);
+    let streams = try_workload(workload_name, &cfg, stream_seed(workload_name))?;
+    let mut mitigation = build_mitigation(scheme, &cfg);
+    if let Some(fault) = opts.fault {
+        mitigation = Box::new(FaultyMitigation::new(mitigation, fault));
+    }
     let t0 = std::time::Instant::now();
     let mut sys = MemSystem::try_new(cfg, streams, mitigation)?;
     let report = sys.run_checked()?;
     let wall_secs = t0.elapsed().as_secs_f64();
-    if oracle {
+    if opts.oracle {
         oracle_check(&mut sys, &cfg, scheme, workload_name);
     }
     Ok(CellResult { report, wall_secs })
 }
 
-/// Fans `cells` over `threads` workers via [`timed_run`]; results come
-/// back in cell order and are bit-identical to running each cell serially
-/// (each cell re-derives its streams from the same fixed per-cell seed
-/// [`run`] uses).
-pub fn run_cells_with(threads: usize, cells: Vec<Cell>) -> Vec<CellResult> {
-    let jobs: Vec<_> = cells
-        .into_iter()
-        .map(|(cfg, wname, scheme)| move || timed_run(cfg, &wname, scheme))
-        .collect();
-    run_parallel(jobs, threads)
+/// The arguments a simulating bench target takes after cargo's `--`:
+/// `[--requests N] [--manifest PATH] [--oracle]`. Cargo appends `--bench`
+/// to a `harness = false` target's arguments; it is accepted and ignored.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BenchArgs {
+    /// `--requests N`: completed-request target per run; replaces a
+    /// figure recipe's `requests`.
+    pub requests: Option<u64>,
+    /// `--manifest PATH`: the figure sweeps' JSONL checkpoint manifest.
+    /// Completed cells are appended and restored on re-run, so an
+    /// interrupted sweep resumes bit-identically.
+    pub manifest: Option<PathBuf>,
+    /// `--oracle`: replay every run's command trace through the
+    /// conformance oracle (`hotpath_profile` and the figure sweeps).
+    pub oracle: bool,
+}
+
+impl BenchArgs {
+    /// Parses `args` (the program name already stripped).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown argument or the malformed value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
+        let mut out = BenchArgs::default();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--bench" => {}
+                "--oracle" => out.oracle = true,
+                "--requests" => {
+                    let v = value()?;
+                    let n = v.parse().map_err(|e| format!("--requests `{v}`: {e}"))?;
+                    out.requests = Some(n);
+                }
+                "--manifest" => out.manifest = Some(PathBuf::from(value()?)),
+                _ => return Err(format!("unknown argument `{arg}`")),
+            }
+        }
+        Ok(out)
+    }
+
+    /// The process's own arguments; a malformed command line prints the
+    /// error and the usage and exits with status 2.
+    pub fn from_args() -> BenchArgs {
+        BenchArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: cargo bench --bench <target> -- [--requests N] [--manifest PATH] [--oracle]");
+            std::process::exit(2)
+        })
+    }
+
+    /// `--requests`, else [`DEFAULT_REQUESTS`].
+    pub fn requests(&self) -> u64 {
+        self.requests.unwrap_or(DEFAULT_REQUESTS)
+    }
 }
 
 /// The workspace root, anchored from this crate's manifest (benches run
@@ -899,16 +797,19 @@ mod tests {
         assert_eq!(run_parallel(vec![|| 7u32], 4), vec![7]);
     }
 
-    #[test]
-    fn bench_threads_is_positive() {
-        assert!(bench_threads() >= 1);
+    fn run(cfg: SystemConfig, scheme: Scheme, engine: Engine) -> CellResult {
+        let opts = RunOptions {
+            engine,
+            ..RunOptions::default()
+        };
+        try_timed_run(cfg, "random-stream", scheme, opts).expect("cell runs")
     }
 
     #[test]
     fn cell_throughput_math() {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 200;
-        let cell = timed_run(cfg, "random-stream", Scheme::Baseline);
+        let cell = run(cfg, Scheme::Baseline, Engine::Fast);
         assert!(cell.wall_secs > 0.0);
         assert!(cell.cycles_per_sec() > 0.0);
     }
@@ -918,8 +819,8 @@ mod tests {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 500;
         assert_eq!(
-            run(cfg, "random-stream", Scheme::Shadow),
-            run_uncached(cfg, "random-stream", Scheme::Shadow),
+            run(cfg, Scheme::Shadow, Engine::Fast),
+            run(cfg, Scheme::Shadow, Engine::Reference),
         );
     }
 
@@ -927,8 +828,29 @@ mod tests {
     fn tiny_end_to_end_relative_run() {
         let mut cfg = SystemConfig::tiny();
         cfg.target_requests = 500;
-        let base = run(cfg, "random-stream", Scheme::Baseline);
-        let rel = run(cfg, "random-stream", Scheme::Shadow).relative_performance(&base);
+        let base = run(cfg, Scheme::Baseline, Engine::Fast).report;
+        let rel = run(cfg, Scheme::Shadow, Engine::Fast)
+            .report
+            .relative_performance(&base);
         assert!(rel > 0.3 && rel <= 1.05, "relative perf {rel}");
+    }
+
+    #[test]
+    fn bench_args_take_cargos_bench_flag() {
+        let args = |a: &str| BenchArgs::parse(a.split_whitespace().map(String::from));
+        let want = BenchArgs {
+            requests: Some(2000),
+            manifest: Some(PathBuf::from("m")),
+            oracle: true,
+        };
+        assert_eq!(
+            args("--requests 2000 --oracle --manifest m --bench"),
+            Ok(want)
+        );
+        assert_eq!(args("--bench").map(|a| a.requests()), Ok(DEFAULT_REQUESTS));
+        for bad in ["--requests", "--requests 60k", "--threads 2"] {
+            let flag = bad.split(' ').next().unwrap();
+            assert!(args(bad).is_err_and(|e| e.contains(flag)), "{bad}");
+        }
     }
 }

@@ -5,20 +5,22 @@
 //! optionally a wall-clock deadline), with bounded deterministic-backoff
 //! fast-path retries drawing from a shared [`RetryBudget`]. A cell whose
 //! retries are exhausted gets one probe on the reference engine — every
-//! fast path defeated, exactly the [`run_uncached`](crate::run_uncached)
-//! configuration. A probe that *succeeds* is the smoking gun of a
+//! fast path defeated ([`Engine::Reference`]). A probe that *succeeds* is
+//! the smoking gun of a
 //! fast-path/reference divergence and is reported as such
 //! ([`RetryOutcome::Recovered`]) rather than silently papering over an
 //! engine bug.
 //!
 //! The checkpoint manifest is one JSONL line per completed cell
-//! ([`append_checkpoint`]), keyed by a [`fingerprint`] of the full cell
-//! configuration. [`load_manifest`] reloads it on resume; malformed lines
-//! — the signature of a kill mid-write — are skipped, not fatal.
+//! ([`append_checkpoint`]), keyed by a [`fingerprint`] of exactly the
+//! inputs that change a checkpointed report, and stamped with the
+//! [`KEY_VERSION`] of that key. [`load_manifest`] reloads it on resume;
+//! malformed lines — the signature of a kill mid-write — are skipped,
+//! while a well-formed line of another key version is a named error.
 
 use crate::json::{report_from_json, report_to_json, Json};
-use crate::{panic_message, BenchError, Cell, CellResult};
-use shadow_memsys::{Engine, SimError, StallSnapshot};
+use crate::{panic_message, stream_seed, BenchError, Cell, CellResult, MIX_CORES, TIME_SCALE};
+use shadow_memsys::{Engine, SimError, StallSnapshot, SystemConfig};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,18 +28,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// The function that actually executes one cell. The default is
-/// [`crate::try_timed_run`]; the fault-injection tests substitute a
-/// runner that wraps the cell's mitigation in a
-/// `shadow_conformance::FaultyMitigation`, proving the isolation and
-/// retry paths against *manufactured* failures. `Arc` because
-/// deadline-guarded attempts run the cell on a dedicated thread.
+/// The function that actually executes one cell on the given engine:
+/// [`crate::try_timed_run`] with the campaign's options (the oracle, an
+/// injected fault). `Arc` because deadline-guarded attempts run the cell
+/// on a dedicated thread.
 pub type CellRunner = Arc<dyn Fn(Cell, Engine) -> Result<CellResult, BenchError> + Send + Sync>;
-
-/// The production cell runner: [`crate::try_timed_run`].
-pub fn default_runner() -> CellRunner {
-    Arc::new(|(cfg, workload, scheme), mode| crate::try_timed_run(cfg, &workload, scheme, mode))
-}
 
 /// What happened to the once-only reference-engine retry of a failed cell.
 /// Timeouts carry none: the reference engine is strictly slower than the
@@ -327,14 +322,47 @@ impl SweepEvent {
 /// serialize internally (the campaign service locks its writer).
 pub type EventSink = Arc<dyn Fn(&SweepEvent) + Send + Sync>;
 
-/// FNV-1a fingerprint of a cell's full configuration (config `Debug`
-/// repr, workload name, scheme). Keys the checkpoint manifest: any config
-/// field change — geometry, timing, targets, watchdog — changes the
-/// fingerprint, so stale checkpoints can never be resumed into a
-/// different sweep.
+/// Version of the checkpoint key, [`fingerprint`]: bump it whenever the
+/// key's inputs change. Manifest lines record it, and [`load_manifest`]
+/// refuses a line of any other version. (Version 1 was unversioned.)
+pub const KEY_VERSION: u64 = 2;
+
+/// FNV-1a fingerprint of exactly the inputs that change a cell's
+/// checkpointed report: the outcome-bearing config fields, the workload,
+/// the scheme, the stream seed, [`MIX_CORES`], [`TIME_SCALE`] and
+/// [`KEY_VERSION`]. Keys the checkpoint manifest.
+///
+/// `engine` is in the key because the checkpointed report carries its
+/// scheduler counters, which differ between engines. `trace_depth`,
+/// `profile` and `watchdog_window` are out: the report does not carry the
+/// profile, tracing never changes an outcome, and a completed report is
+/// identical with or without the watchdog (stalled cells are never
+/// checkpointed).
 pub fn fingerprint(cell: &Cell) -> u64 {
     let (cfg, workload, scheme) = cell;
-    let repr = format!("{cfg:?}|{workload}|{scheme:?}");
+    // No `..`: a new config field fails to compile here until it is
+    // classified as part of the key or not.
+    let SystemConfig {
+        geometry,
+        timing,
+        rh,
+        mlp,
+        target_requests,
+        max_cycles,
+        raaimt_override,
+        page_policy,
+        posted_writes,
+        engine,
+        trace_depth: _,
+        profile: _,
+        watchdog_window: _,
+    } = cfg;
+    let repr = format!(
+        "v{KEY_VERSION}|{geometry:?}|{timing:?}|{rh:?}|{mlp}|{target_requests}|{max_cycles}|\
+         {raaimt_override:?}|{page_policy:?}|{posted_writes}|{engine:?}|{workload}|{scheme:?}|\
+         {}|{MIX_CORES}|{TIME_SCALE:?}",
+        stream_seed(workload)
+    );
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in repr.bytes() {
         h ^= b as u64;
@@ -348,6 +376,12 @@ pub fn fingerprint(cell: &Cell) -> u64 {
 /// A missing file is an empty manifest (first run). Malformed lines —
 /// typically one truncated tail line from a mid-write kill — are skipped
 /// with a note on stderr; a later rerun simply recomputes those cells.
+///
+/// # Errors
+///
+/// [`BenchError::Io`] when the file cannot be read, and
+/// [`BenchError::KeyVersion`] for the first line that parses as JSON but
+/// records a missing or foreign [`KEY_VERSION`].
 pub fn load_manifest(path: &PathBuf) -> Result<HashMap<u64, CellResult>, BenchError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -364,40 +398,40 @@ pub fn load_manifest(path: &PathBuf) -> Result<HashMap<u64, CellResult>, BenchEr
         if line.trim().is_empty() {
             continue;
         }
-        let entry = match parse_manifest_line(line) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!(
-                    "[resume] {}:{}: skipping unreadable checkpoint line ({e})",
-                    path.display(),
-                    lineno + 1
-                );
-                continue;
+        let parsed = Json::parse(line);
+        if let Ok(v) = &parsed {
+            let found = v.field("key_version").and_then(Json::as_u64).ok();
+            if found != Some(KEY_VERSION) {
+                return Err(BenchError::KeyVersion {
+                    path: path.display().to_string(),
+                    line: lineno + 1,
+                    found,
+                });
             }
-        };
-        if let Some((fp, result)) = entry {
-            map.insert(fp, result);
+        }
+        match parsed.and_then(|v| manifest_entry(&v)) {
+            Ok(Some((fp, result))) => {
+                map.insert(fp, result);
+            }
+            Ok(None) => {}
+            Err(e) => eprintln!(
+                "[resume] {}:{}: skipping unreadable checkpoint line ({e})",
+                path.display(),
+                lineno + 1
+            ),
         }
     }
     Ok(map)
 }
 
-/// Parses one manifest line; `Ok(None)` for well-formed non-`ok` entries.
-fn parse_manifest_line(line: &str) -> Result<Option<(u64, CellResult)>, BenchError> {
-    let v = Json::parse(line).map_err(|e| BenchError::Io {
-        path: "manifest line".into(),
-        why: e.to_string(),
-    })?;
-    let io = |e: crate::json::JsonError| BenchError::Io {
-        path: "manifest line".into(),
-        why: e.to_string(),
-    };
-    if v.field("status").map_err(io)?.as_str().map_err(io)? != "ok" {
+/// Decodes one parsed manifest line; `Ok(None)` for a non-`ok` entry.
+fn manifest_entry(v: &Json) -> Result<Option<(u64, CellResult)>, crate::json::JsonError> {
+    if v.field("status")?.as_str()? != "ok" {
         return Ok(None);
     }
-    let fp = v.field("fp").map_err(io)?.as_u64().map_err(io)?;
-    let wall_secs = v.field("wall_secs").map_err(io)?.as_f64().map_err(io)?;
-    let report = report_from_json(v.field("report").map_err(io)?).map_err(io)?;
+    let fp = v.field("fp")?.as_u64()?;
+    let wall_secs = v.field("wall_secs")?.as_f64()?;
+    let report = report_from_json(v.field("report")?)?;
     Ok(Some((fp, CellResult { report, wall_secs })))
 }
 
@@ -450,6 +484,7 @@ pub fn append_checkpoint(file: &Mutex<std::fs::File>, cell: &Cell, result: &Cell
 /// Formats one completed cell as a manifest JSONL line (no newline).
 pub fn manifest_line(cell: &Cell, result: &CellResult) -> String {
     Json::Obj(vec![
+        ("key_version".into(), Json::u64(KEY_VERSION)),
         ("fp".into(), Json::u64(fingerprint(cell))),
         ("workload".into(), Json::str(&cell.1)),
         ("scheme".into(), Json::str(cell.2.name())),
@@ -610,8 +645,7 @@ pub fn run_cell_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scheme;
-    use shadow_memsys::SystemConfig;
+    use crate::{RunOptions, Scheme};
 
     fn tiny_cell(workload: &str) -> Cell {
         let mut cfg = SystemConfig::tiny();
@@ -619,17 +653,45 @@ mod tests {
         (cfg, workload.to_string(), Scheme::Baseline)
     }
 
+    /// The production runner: [`crate::try_timed_run`] on `engine`.
+    fn production() -> CellRunner {
+        Arc::new(|(cfg, workload, scheme), engine| {
+            let opts = RunOptions {
+                engine,
+                ..RunOptions::default()
+            };
+            crate::try_timed_run(cfg, &workload, scheme, opts)
+        })
+    }
+
+    fn timed_run(cell: &Cell) -> CellResult {
+        production()(cell.clone(), Engine::Fast).expect("cell runs")
+    }
+
     #[test]
     fn fingerprint_keys_on_every_cell_dimension() {
         let a = tiny_cell("random-stream");
-        let mut b = a.clone();
-        b.0.target_requests += 1;
-        let c = (a.0, a.1.clone(), Scheme::Shadow);
-        let d = tiny_cell("mix-random-1");
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        assert_ne!(fingerprint(&a), fingerprint(&c));
-        assert_ne!(fingerprint(&a), fingerprint(&d));
-        assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
+        let edited = |edit: fn(&mut Cell)| {
+            let mut b = a.clone();
+            edit(&mut b);
+            fingerprint(&b)
+        };
+        for edit in [
+            |c: &mut Cell| c.0.target_requests += 1,
+            |c: &mut Cell| c.0.rh.h_cnt += 1,
+            |c: &mut Cell| c.0.mlp += 1,
+            |c: &mut Cell| c.0.max_cycles += 1,
+            |c: &mut Cell| c.0.engine = Engine::Reference,
+            |c: &mut Cell| c.0.posted_writes ^= true,
+            |c: &mut Cell| c.1 = "mix-random-1".into(),
+            |c: &mut Cell| c.2 = Scheme::Shadow,
+        ] {
+            assert_ne!(edited(edit), fingerprint(&a));
+        }
+        // Observation-only fields stay out of the key.
+        let observed =
+            edited(|c| (c.0.trace_depth, c.0.profile, c.0.watchdog_window) = (64, true, 9));
+        assert_eq!(observed, fingerprint(&a));
     }
 
     /// Runs `cell` once through [`run_cell_with_retry`] with a retry budget
@@ -642,7 +704,7 @@ mod tests {
         };
         let sink: EventSink = Arc::new(|_| {});
         let pool = RetryBudget::unlimited();
-        run_cell_with_retry(0, cell, None, &policy, &pool, &default_runner(), &sink)
+        run_cell_with_retry(0, cell, None, &policy, &pool, &production(), &sink)
     }
 
     #[test]
@@ -671,9 +733,9 @@ mod tests {
         // Broken on the fast path only: the reference probe completes the
         // cell, and what it recovers is the fault-free result.
         let cell = tiny_cell("random-stream");
-        let run: CellRunner = Arc::new(|(cfg, workload, scheme), mode| {
-            assert!(mode == Engine::Reference, "fast path broken");
-            crate::try_timed_run(cfg, &workload, scheme, mode)
+        let run: CellRunner = Arc::new(|cell, engine| {
+            assert!(engine == Engine::Reference, "fast path broken");
+            production()(cell, engine)
         });
         let sink: EventSink = Arc::new(|_| {});
         let pool = RetryBudget::unlimited();
@@ -686,8 +748,7 @@ mod tests {
                 1,
             ) => {
                 assert!(message.contains("fast path broken"), "{message}");
-                let clean = crate::timed_run(cell.0, &cell.1, cell.2);
-                assert_eq!(recovered.report, clean.report);
+                assert_eq!(recovered.report, timed_run(&cell).report);
             }
             other => panic!("expected a recovered panic, got {other:?}"),
         }
@@ -696,10 +757,10 @@ mod tests {
     #[test]
     fn manifest_line_round_trips() {
         let cell = tiny_cell("random-stream");
-        let result = crate::timed_run(cell.0, &cell.1, cell.2);
+        let result = timed_run(&cell);
         let line = manifest_line(&cell, &result);
-        let (fp, restored) = parse_manifest_line(&line)
-            .expect("parses")
+        let (fp, restored) = manifest_entry(&Json::parse(&line).expect("parses"))
+            .expect("decodes")
             .expect("status ok");
         assert_eq!(fp, fingerprint(&cell));
         assert_eq!(restored.report, result.report);
@@ -737,7 +798,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("torn.jsonl");
         let cell_a = tiny_cell("random-stream");
-        let result_a = crate::timed_run(cell_a.0, &cell_a.1, cell_a.2);
+        let result_a = timed_run(&cell_a);
         let good = manifest_line(&cell_a, &result_a);
         // A crash mid-write: complete line, then a torn fragment with NO
         // trailing newline.
@@ -746,7 +807,7 @@ mod tests {
         // Appending through the repairing opener must not concatenate the
         // new checkpoint onto the torn fragment.
         let cell_b = tiny_cell("mix-random-1");
-        let result_b = crate::timed_run(cell_b.0, &cell_b.1, cell_b.2);
+        let result_b = timed_run(&cell_b);
         let file = Mutex::new(open_manifest_appender(&path).expect("opens"));
         append_checkpoint(&file, &cell_b, &result_b);
         drop(file);
@@ -785,7 +846,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("truncated.jsonl");
         let cell = tiny_cell("random-stream");
-        let result = crate::timed_run(cell.0, &cell.1, cell.2);
+        let result = timed_run(&cell);
         let good = manifest_line(&cell, &result);
         let truncated = &good[..good.len() / 2];
         // A line nested 100 000 deep must be skipped too, not overflow the

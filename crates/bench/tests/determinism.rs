@@ -4,15 +4,36 @@
 //! memoized frontier, and the parallel sweep runner are pure performance
 //! work: none may change a single simulated outcome. These tests pin
 //! that, field for field, against the reference engine
-//! ([`run_uncached`]: translate-every-time, the original full-bank scan
-//! with per-bank frontier recompute) on runs
+//! ([`Engine::Reference`]: translate-every-time, the original full-bank
+//! scan with per-bank frontier recompute) on runs
 //! where the fast paths are actually exercised — SHADOW and RRS remap
 //! rows *mid-run*, so a stale cache entry would steer FR-FCFS at the
 //! first shuffle or swap.
 
-use shadow_bench::{run, run_cells_with, run_uncached, Cell, Scheme};
-use shadow_memsys::{Engine, MemSystem, SystemConfig};
+use shadow_bench::{run_parallel, try_timed_run, Cell, RunOptions, Scheme};
+use shadow_memsys::{Engine, MemSystem, SimReport, SystemConfig};
 use shadow_sim::profiler::Phase;
+
+/// `cfg` × random-stream × `scheme` on `engine`.
+fn run_on(cfg: SystemConfig, scheme: Scheme, engine: Engine) -> SimReport {
+    let opts = RunOptions {
+        engine,
+        ..RunOptions::default()
+    };
+    try_timed_run(cfg, "random-stream", scheme, opts)
+        .expect("cell runs")
+        .report
+}
+
+/// The cell on its own engine.
+fn run(cfg: SystemConfig, scheme: Scheme) -> SimReport {
+    run_on(cfg, scheme, Engine::Fast)
+}
+
+/// The cell on the reference engine.
+fn run_uncached(cfg: SystemConfig, scheme: Scheme) -> SimReport {
+    run_on(cfg, scheme, Engine::Reference)
+}
 
 fn small_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
@@ -24,8 +45,8 @@ fn small_cfg() -> SystemConfig {
 /// RFM shuffles remap two rows per bank mid-run.
 #[test]
 fn cached_translation_matches_reference_shadow() {
-    let cached = run(small_cfg(), "random-stream", Scheme::Shadow);
-    let reference = run_uncached(small_cfg(), "random-stream", Scheme::Shadow);
+    let cached = run(small_cfg(), Scheme::Shadow);
+    let reference = run_uncached(small_cfg(), Scheme::Shadow);
     assert!(
         cached.commands.get("RFM") > 0,
         "run too small: no RFMs, so no shuffles exercised the cache"
@@ -40,8 +61,8 @@ fn cached_translation_matches_reference_shadow() {
 /// indirection table (and block the channel) mid-run.
 #[test]
 fn cached_translation_matches_reference_rrs() {
-    let cached = run(small_cfg(), "random-stream", Scheme::Rrs);
-    let reference = run_uncached(small_cfg(), "random-stream", Scheme::Rrs);
+    let cached = run(small_cfg(), Scheme::Rrs);
+    let reference = run_uncached(small_cfg(), Scheme::Rrs);
     assert!(
         cached.channel_blocked_cycles > 0,
         "run too small: no swaps fired, so no remap exercised the cache"
@@ -57,8 +78,8 @@ fn cached_translation_matches_reference_rrs() {
 fn cached_translation_matches_reference_static_schemes() {
     for scheme in [Scheme::Baseline, Scheme::Parfm, Scheme::BlockHammer] {
         assert_eq!(
-            run(small_cfg(), "random-stream", scheme),
-            run_uncached(small_cfg(), "random-stream", scheme),
+            run(small_cfg(), scheme),
+            run_uncached(small_cfg(), scheme),
             "cache changed a {} outcome",
             scheme.name()
         );
@@ -77,13 +98,21 @@ fn parallel_sweep_equals_serial() {
                 .map(move |&w| (small_cfg(), w.to_string(), s))
         })
         .collect();
-    let serial = run_cells_with(1, cells.clone());
+    let sweep = |threads: usize| {
+        let jobs: Vec<_> = cells
+            .iter()
+            .map(|(cfg, w, s)| move || try_timed_run(*cfg, w, *s, RunOptions::default()))
+            .map(|job| move || job().expect("cell runs").report)
+            .collect();
+        run_parallel(jobs, threads)
+    };
+    let serial = sweep(1);
     for threads in [2, 4] {
-        let parallel = run_cells_with(threads, cells.clone());
+        let parallel = sweep(threads);
         assert_eq!(serial.len(), parallel.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(
-                s.report, p.report,
+                s, p,
                 "cell {i} ({:?}) diverged at {threads} threads",
                 cells[i]
             );
@@ -223,10 +252,10 @@ fn fast_engine_equals_reference_with_traces() {
 #[test]
 fn trace_recorder_does_not_change_outcomes() {
     for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs] {
-        let off = run(small_cfg(), "random-stream", scheme);
+        let off = run(small_cfg(), scheme);
         let mut recorded_cfg = small_cfg();
         recorded_cfg.trace_depth = 1 << 20;
-        let on = run(recorded_cfg, "random-stream", scheme);
+        let on = run(recorded_cfg, scheme);
         assert_eq!(off, on, "recorder changed a {} outcome", scheme.name());
     }
 }
@@ -240,10 +269,10 @@ fn trace_recorder_does_not_change_outcomes() {
 #[test]
 fn fast_engine_equals_reference_on_ledger_heavy_schemes() {
     for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Para] {
-        let fast = run(small_cfg(), "random-stream", scheme);
+        let fast = run(small_cfg(), scheme);
         let mut reference_cfg = small_cfg();
         reference_cfg.engine = Engine::Reference;
-        let reference = run(reference_cfg, "random-stream", scheme);
+        let reference = run(reference_cfg, scheme);
         assert_eq!(
             fast,
             reference,
@@ -267,10 +296,10 @@ fn profiler_does_not_change_outcomes() {
         for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs] {
             let mut cfg = small_cfg();
             cfg.engine = engine;
-            let off = run(cfg, "random-stream", scheme);
+            let off = run(cfg, scheme);
             assert!(off.profile.is_none(), "unprofiled run carries a profile");
             cfg.profile = true;
-            let on = run(cfg, "random-stream", scheme);
+            let on = run(cfg, scheme);
             let name = scheme.name();
             assert_eq!(off, on, "profiler changed a {name} outcome on {engine:?}");
             let p = on.profile.as_ref().expect("profiled run records phases");

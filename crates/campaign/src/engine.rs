@@ -16,15 +16,14 @@ use crate::recipe::{CampaignCell, EventsOut, Recipe};
 use crate::signals;
 use shadow_bench::json::{report_to_json, Json};
 use shadow_bench::runner::{
-    append_checkpoint, default_runner, load_manifest, open_manifest_appender, CellOutcome,
-    CellRunner, EventSink, RetryBudget, RetryOutcome, SweepEvent,
+    append_checkpoint, fingerprint, load_manifest, open_manifest_appender, CellOutcome, CellRunner,
+    EventSink, RetryBudget, RetryOutcome, SweepEvent,
 };
 use shadow_bench::{
-    bench_threads, build_mitigation, run_parallel, try_workload, BenchError, Cell, CellResult,
+    host_cpus, run_parallel, try_timed_run, BenchError, Cell, CellResult, RunOptions,
 };
-use shadow_conformance::{Fault, FaultyMitigation};
-use shadow_memsys::{Engine, MemSystem};
-use shadow_mitigations::Mitigation;
+use shadow_conformance::Fault;
+use shadow_memsys::Engine;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
@@ -359,13 +358,18 @@ pub fn jsonl_sink(out: Arc<Mutex<dyn Write + Send>>) -> CampaignSink {
 /// Caller-side knobs layered over the recipe (CLI flags win).
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
-    /// Worker-thread override.
+    /// Worker-thread override (default: the recipe's `threads`, then the
+    /// host CPU count).
     pub threads: Option<usize>,
     /// Checkpoint-manifest override.
     pub manifest: Option<PathBuf>,
     /// Base directory for relative recipe paths (manifest, artifact,
     /// event files). Default: the process working directory.
     pub base_dir: Option<PathBuf>,
+    /// Replay every executed cell's command trace through the conformance
+    /// oracle; a protocol violation fails the cell. Restored cells are not
+    /// replayed.
+    pub oracle: bool,
 }
 
 fn resolve(base: Option<&Path>, p: &Path) -> PathBuf {
@@ -375,54 +379,44 @@ fn resolve(base: Option<&Path>, p: &Path) -> PathBuf {
     }
 }
 
-/// Mirrors `try_timed_run` with the mitigation wrapped in a
-/// [`FaultyMitigation`] — the deterministic fault-injection path behind
-/// `[[fault]]` recipe entries.
-fn run_with_fault(
-    cell: Cell,
-    mode: Engine,
-    fault: Fault,
-    in_reference: bool,
-) -> Result<CellResult, BenchError> {
-    let (mut cfg, workload, scheme) = cell;
-    if mode == Engine::Reference {
-        cfg.engine = Engine::Reference;
+/// Creates the directory `p` sits in, if `p` names one.
+fn create_parent(p: &Path) -> Result<(), CampaignError> {
+    match p.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => {
+            std::fs::create_dir_all(dir).map_err(|e| CampaignError::Io {
+                path: dir.to_path_buf(),
+                why: e.to_string(),
+            })
+        }
+        _ => Ok(()),
     }
-    let streams = try_workload(&workload, &cfg, 0xACE0_0000 + workload.len() as u64)?;
-    let mut mitigation: Box<dyn Mitigation> = build_mitigation(scheme, &cfg);
-    if mode == Engine::Fast || in_reference {
-        mitigation = Box::new(FaultyMitigation::new(mitigation, fault));
-    }
-    let t0 = std::time::Instant::now();
-    let mut sys = MemSystem::try_new(cfg, streams, mitigation)?;
-    let report = sys.run_checked()?;
-    Ok(CellResult {
-        report,
-        wall_secs: t0.elapsed().as_secs_f64(),
-    })
 }
 
-/// Builds the cell runner: the production `try_timed_run` path, except
-/// for cells named by a `[[fault]]` spec, which get the injected fault.
-/// Cells without a fault entry take the production path *exactly*, so a
-/// fault-injected campaign's healthy cells stay bit-identical to a
-/// fault-free campaign (pinned by the campaign tests).
-fn build_runner(recipe: &Recipe, cells: &[CampaignCell]) -> CellRunner {
-    if recipe.faults.is_empty() {
-        return default_runner();
-    }
-    let by_fp: HashMap<u64, (Fault, bool)> = recipe
+/// Builds the cell runner: [`try_timed_run`] with the campaign's oracle
+/// switch, plus the injected fault for cells named by a `[[fault]]` spec.
+/// A fault fires on the fast path, and on the reference probe only when
+/// its spec says `in_reference`. Cells without a fault entry run exactly
+/// as in a fault-free campaign, so a fault-injected campaign's healthy
+/// cells stay bit-identical to it (pinned by the campaign tests).
+fn build_runner(recipe: &Recipe, cells: &[CampaignCell], oracle: bool) -> CellRunner {
+    let faults: HashMap<u64, (Fault, bool)> = recipe
         .faults
         .iter()
         .map(|f| (cells[f.cell].fingerprint, (f.fault, f.in_reference)))
         .collect();
-    let inner = default_runner();
-    Arc::new(
-        move |cell: Cell, mode| match by_fp.get(&shadow_bench::runner::fingerprint(&cell)) {
-            Some(&(fault, in_reference)) => run_with_fault(cell, mode, fault, in_reference),
-            None => inner(cell, mode),
-        },
-    )
+    Arc::new(move |cell: Cell, engine| {
+        let fault = match faults.get(&fingerprint(&cell)) {
+            Some(&(fault, in_reference)) if engine == Engine::Fast || in_reference => Some(fault),
+            _ => None,
+        };
+        let (cfg, workload, scheme) = cell;
+        let opts = RunOptions {
+            engine,
+            oracle,
+            fault,
+        };
+        try_timed_run(cfg, &workload, scheme, opts)
+    })
 }
 
 /// FNV-1a over the completed cells' `(fingerprint, report JSON)` pairs in
@@ -464,7 +458,7 @@ pub fn run_campaign(
     let threads = opts
         .threads
         .or(recipe.exec.threads)
-        .unwrap_or_else(bench_threads);
+        .unwrap_or_else(host_cpus);
     let manifest_path = opts
         .manifest
         .clone()
@@ -476,14 +470,7 @@ pub fn run_campaign(
     };
     let appender = match &manifest_path {
         Some(p) => {
-            if let Some(dir) = p.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).map_err(|e| CampaignError::Io {
-                        path: dir.to_path_buf(),
-                        why: e.to_string(),
-                    })?;
-                }
-            }
+            create_parent(p)?;
             Some(Mutex::new(open_manifest_appender(p)?))
         }
         None => None,
@@ -503,7 +490,7 @@ pub fn run_campaign(
         None => RetryBudget::unlimited(),
     };
     let pool_start = pool.remaining();
-    let runner = build_runner(recipe, &cells);
+    let runner = build_runner(recipe, &cells, opts.oracle);
     let policy = recipe.exec.retry;
     let deadline = recipe.exec.cell_deadline_secs;
     let drain_announced = Mutex::new(false);
@@ -649,14 +636,7 @@ pub fn run_campaign(
 
     if let Some(p) = &recipe.reporting.artifact {
         let p = resolve(base, p);
-        if let Some(dir) = p.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| CampaignError::Io {
-                    path: dir.to_path_buf(),
-                    why: e.to_string(),
-                })?;
-            }
-        }
+        create_parent(&p)?;
         std::fs::write(&p, report.to_json().to_json() + "\n").map_err(|e| CampaignError::Io {
             path: p.clone(),
             why: e.to_string(),

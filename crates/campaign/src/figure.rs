@@ -7,8 +7,7 @@
 
 use crate::engine::{run_campaign, sink_for, CampaignOptions, CellStatus};
 use crate::recipe::{CampaignCell, Recipe, RecipeError};
-use shadow_bench::{request_target, Cell, CellResult, Scheme};
-use std::path::PathBuf;
+use shadow_bench::{host_cpus, BenchArgs, Cell, CellResult, Scheme};
 
 /// One scheme cell of a finished figure sweep, relative to its Baseline.
 #[derive(Debug, Clone)]
@@ -68,37 +67,45 @@ pub fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
 /// Runs `recipes/<name>.toml` for a figure bench and returns its scheme
 /// cells, in expansion order, relative to their Baseline partners.
 ///
-/// `SHADOW_BENCH_REQS`, when set, replaces every scenario's `requests`;
-/// `SHADOW_BENCH_RESUME` names the checkpoint manifest; worker threads
-/// come from the recipe, else `SHADOW_BENCH_THREADS`.
+/// `args.requests`, when given, replaces every scenario's `requests`;
+/// `args.manifest` names the checkpoint manifest (relative to the working
+/// directory); `args.oracle` replays every executed cell through the
+/// protocol oracle. Worker threads come from the recipe, else the host
+/// CPU count.
 ///
 /// # Panics
 ///
 /// Panics when the recipe cannot be read, parsed or paired, or the
 /// campaign cannot run. When any cell fails, prints each failed cell's
 /// diagnosis and exits the process with the campaign's exit code.
-pub fn launch(name: &str) -> Vec<Relative> {
+pub fn launch(name: &str, args: &BenchArgs) -> Vec<Relative> {
     let dir = shadow_bench::workspace_root().join("recipes");
     let path = dir.join(format!("{name}.toml"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let mut recipe = Recipe::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    if std::env::var_os("SHADOW_BENCH_REQS").is_some() {
-        let requests = request_target();
+    if let Some(requests) = args.requests {
         for s in &mut recipe.scenarios {
             s.requests = vec![requests];
         }
     }
     let cells = recipe.expand();
     let partners = baseline_partners(&cells).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    // A relative SHADOW_BENCH_RESUME path means the working directory, not
-    // the recipe directory that `base_dir` resolves recipe paths against.
-    let manifest = std::env::var_os("SHADOW_BENCH_RESUME")
-        .map(|p| std::path::absolute(PathBuf::from(p)).expect("current directory"));
+    // A relative `--manifest` means the working directory, not the recipe
+    // directory that `base_dir` resolves recipe paths against.
+    let manifest = args
+        .manifest
+        .as_ref()
+        .map(|p| std::path::absolute(p).expect("current directory"));
     let opts = CampaignOptions {
-        threads: None,
         manifest,
         base_dir: Some(dir),
+        oracle: args.oracle,
+        ..CampaignOptions::default()
     };
+    println!(
+        "({} worker threads)",
+        recipe.exec.threads.unwrap_or_else(host_cpus)
+    );
     let sink = sink_for(&recipe.reporting.events, opts.base_dir.as_deref())
         .unwrap_or_else(|e| panic!("{e}"));
     let report = run_campaign(&recipe, &opts, &sink).unwrap_or_else(|e| panic!("{e}"));

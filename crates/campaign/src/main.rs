@@ -1,14 +1,15 @@
 //! `shadow-bench` — the campaign service CLI.
 //!
 //! ```text
-//! shadow-bench campaign run <recipe.(toml|json)> [--threads N] [--manifest PATH] [--quiet]
+//! shadow-bench campaign run <recipe.(toml|json)> [--threads N] [--manifest PATH] [--oracle] [--quiet]
 //! shadow-bench campaign expand <recipe>
 //! shadow-bench campaign serve (--socket PATH | --stdin) [--max-campaigns N]
 //! ```
 //!
 //! Exit codes: `0` every cell completed · `1` quarantined or invalid
-//! cells · `2` usage error · `3` recipe or I/O error · `130` graceful
-//! drain (SIGINT/SIGTERM) — resumable, a hint is printed.
+//! cells · `2` usage error · `3` recipe, I/O or checkpoint key-version
+//! error · `130` graceful drain (SIGINT/SIGTERM) — resumable, a hint is
+//! printed.
 
 use shadow_campaign::engine::{run_campaign, sink_for, CampaignOptions};
 use shadow_campaign::recipe::Recipe;
@@ -21,7 +22,7 @@ use std::process::ExitCode;
 const USAGE: &str = "shadow-bench — recipe-driven sweep campaign service
 
 USAGE:
-  shadow-bench campaign run <recipe.(toml|json)> [--threads N] [--manifest PATH] [--quiet]
+  shadow-bench campaign run <recipe.(toml|json)> [--threads N] [--manifest PATH] [--oracle] [--quiet]
   shadow-bench campaign expand <recipe>
   shadow-bench campaign serve (--socket PATH | --stdin) [--max-campaigns N] [--base-dir DIR]
 
@@ -38,6 +39,8 @@ COMMANDS:
 FLAGS (run):
   --threads N       Override worker threads (default: recipe, then host).
   --manifest PATH   Override the checkpoint manifest (enables resume).
+  --oracle          Replay every executed cell's command trace through the
+                    JEDEC protocol oracle; a violation fails the cell.
   --quiet           Suppress the recipe's event stream.
 
 FLAGS (serve):
@@ -49,7 +52,7 @@ EXIT CODES:
   0    every cell completed
   1    quarantined or invalid cells (details in the summary)
   2    usage error
-  3    recipe parse or I/O error
+  3    recipe parse, I/O or checkpoint key-version error
   130  graceful drain after SIGINT/SIGTERM (resumable from the manifest)
 ";
 
@@ -78,6 +81,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 Some(p) => opts.manifest = Some(PathBuf::from(p)),
                 None => return usage(),
             },
+            "--oracle" => opts.oracle = true,
             "--quiet" => quiet = true,
             p if !p.starts_with('-') && recipe_path.is_none() => {
                 recipe_path = Some(p.to_string());

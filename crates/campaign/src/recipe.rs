@@ -443,7 +443,7 @@ pub struct FaultSpec {
 /// Campaign-level execution knobs from the `[campaign]` table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecConfig {
-    /// Worker threads (`None`: [`shadow_bench::bench_threads`]).
+    /// Worker threads (`None`: [`shadow_bench::host_cpus`]).
     pub threads: Option<usize>,
     /// Per-cell fast-path retry policy.
     pub retry: RetryPolicy,

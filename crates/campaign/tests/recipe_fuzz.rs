@@ -12,10 +12,16 @@
 //!
 //! Fixed regression inputs pin the scenario axes that used to slip past
 //! `parse` and then panic (or silently wrap) in `expand`.
+//!
+//! A second loop runs what the mutants describe: the first cell of each of
+//! the first [`RUN_MUTANTS`] mutants that parse and expand to a cell goes
+//! through `try_timed_run` (request target and cycle limit capped so the
+//! loop stays quick), and must complete or fail with a named `BenchError`.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
+use shadow_bench::{try_timed_run, RunOptions};
 use shadow_campaign::recipe::{self, Recipe};
 
 /// SplitMix64: a tiny self-contained generator, so the mutation stream is
@@ -141,12 +147,7 @@ fn parse_and_expand(text: &str) -> Result<(), String> {
             let _ = recipe.expand();
         }
     }))
-    .map_err(|p| {
-        p.downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic".into())
-    })
+    .map_err(|p| shadow_bench::panic_message(p.as_ref()))
 }
 
 const BASE: &str = "[campaign]\nname = \"r\"\n[[scenario]]\npreset = \"tiny\"\n\
@@ -196,4 +197,53 @@ fn mutated_recipes_never_panic() {
             "no mutant parsed; the mutation loop is too destructive"
         );
     }
+}
+
+/// Mutants whose first cell [`mutants_first_cells_run_or_fail_by_name`]
+/// runs.
+const RUN_MUTANTS: usize = 32;
+
+#[test]
+fn mutants_first_cells_run_or_fail_by_name() {
+    let recipes = seed_recipes();
+    let mut rng = Rng(0xCE11_F1E5);
+    let mut ran = 0usize;
+    let mut failed = 0usize;
+    for case in 0..1 << 16 {
+        if ran == RUN_MUTANTS {
+            break;
+        }
+        let ri = case % recipes.len();
+        let (name, base) = &recipes[ri];
+        let donor = &recipes[(ri + 1) % recipes.len()].1;
+        let text = String::from_utf8_lossy(&mutate(&mut rng, base, donor)).into_owned();
+        let Some(first) = Recipe::parse(&text)
+            .ok()
+            .and_then(|r| r.expand().into_iter().next())
+        else {
+            continue;
+        };
+        ran += 1;
+        let (mut cfg, workload, scheme) = first.cell;
+        cfg.target_requests = cfg.target_requests.min(200);
+        cfg.max_cycles = cfg.max_cycles.min(2_000_000);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            try_timed_run(cfg, &workload, scheme, RunOptions::default())
+        }));
+        match outcome {
+            Ok(Ok(_)) => {}
+            Ok(Err(_)) => failed += 1,
+            Err(p) => panic!(
+                "{name} mutant {case}: first cell {workload}/{} panicked: {}\n\
+                 --- mutant ---\n{text}\n---",
+                scheme.name(),
+                shadow_bench::panic_message(p.as_ref())
+            ),
+        }
+    }
+    assert_eq!(ran, RUN_MUTANTS, "too few mutants parsed to a cell");
+    assert!(
+        failed < ran,
+        "every mutant's cell failed; the loop ran nothing"
+    );
 }
