@@ -14,7 +14,7 @@
 //! * PARFM / Mithril: `2 × blast_radius` victim-row refreshes per RFM.
 //! * DRR: the doubled REF count shows up directly in the command counts.
 
-use shadow_memsys::SimReport;
+use shadow_memsys::{Scheme, SimReport};
 
 /// Per-command and background energy parameters (one rank).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,6 +96,28 @@ impl SchemeEnergy {
         SchemeEnergy {
             per_act_nj: 0.0,
             per_rfm_nj: 2.0 * blast_radius as f64 * pm.e_act_pre_nj,
+        }
+    }
+
+    /// The extras `scheme` adds at blast radius `blast_radius`: the one
+    /// scheme-to-energy mapping of the power figures. RRS swaps and the
+    /// PRAC-era schemes' RFMs carry no extra here.
+    pub fn for_scheme(pm: &PowerModel, scheme: Scheme, blast_radius: u32) -> Self {
+        match scheme {
+            Scheme::Shadow | Scheme::ShadowFiltered => Self::shadow(pm),
+            Scheme::Parfm
+            | Scheme::MithrilPerf
+            | Scheme::MithrilArea
+            | Scheme::Para
+            | Scheme::Graphene
+            | Scheme::Panopticon => Self::trr(pm, blast_radius),
+            Scheme::Baseline
+            | Scheme::BlockHammer
+            | Scheme::Rrs
+            | Scheme::Drr
+            | Scheme::Prac
+            | Scheme::Practical
+            | Scheme::Dapper => Self::none(),
         }
     }
 

@@ -32,7 +32,7 @@ fn timing_variant(pairing: bool, isolation: bool) -> (String, u64) {
 
 fn main() {
     banner("Ablation 1+2: microarchitectural optimizations (timing and performance)");
-    let args = BenchArgs::from_args();
+    let args = BenchArgs::from_args("ablation", &["--requests"]);
     println!("({} worker threads)", host_cpus());
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = args.requests();

@@ -75,7 +75,7 @@ fn focused_streams(
 
 fn main() {
     banner("Adversarial worst case (DDR4-2666, H_cnt = 4K)");
-    let args = BenchArgs::from_args();
+    let args = BenchArgs::from_args("adversarial_worstcase", &["--requests"]);
     println!("({} worker threads)", host_cpus());
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = args.requests();

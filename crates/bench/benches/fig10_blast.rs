@@ -12,7 +12,10 @@ use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
     banner("Figure 10: blast-radius sensitivity (relative performance, DDR4-2666, H_cnt = 4K)");
-    let series = launch("fig10", &BenchArgs::from_args());
+    let series = launch(
+        "fig10",
+        &BenchArgs::from_args("fig10_blast", BenchArgs::ALL),
+    );
     let schemes = distinct(series.iter().map(|r| r.cell.2));
     let radii = distinct(series.iter().map(|r| r.cell.0.rh.blast_radius));
 

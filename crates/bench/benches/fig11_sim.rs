@@ -27,7 +27,7 @@ fn row_of(workload: &str) -> &str {
 
 fn main() {
     banner("Figure 11: DDR5-4800 architectural simulation (relative weighted speedup)");
-    let series = launch("fig11", &BenchArgs::from_args());
+    let series = launch("fig11", &BenchArgs::from_args("fig11_sim", BenchArgs::ALL));
     let schemes = distinct(series.iter().map(|r| r.cell.2));
     let hcnts = distinct(series.iter().map(|r| r.cell.0.rh.h_cnt));
 

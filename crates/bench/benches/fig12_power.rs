@@ -7,7 +7,7 @@ use shadow_bench::{banner, build_mitigation, workload, BenchArgs, Scheme};
 use shadow_memsys::{MemSystem, SystemConfig};
 
 fn main() {
-    let args = BenchArgs::from_args();
+    let args = BenchArgs::from_args("fig12_power", &["--requests"]);
     banner("Figure 12: relative system power and RFM/REF ratio (DDR4-2666)");
     let pm = PowerModel::ddr4_2666();
     let ranks = 8; // 4 channels x 2 ranks (Table IV)
@@ -23,21 +23,18 @@ fn main() {
             cfg.target_requests = args.requests();
             cfg.rh.h_cnt = h;
 
-            let base_rep = MemSystem::new(
-                cfg,
-                workload(wname, &cfg, 0xF12),
-                build_mitigation(Scheme::Baseline, &cfg),
-            )
-            .run();
-            let sh_rep = MemSystem::new(
-                cfg,
-                workload(wname, &cfg, 0xF12),
-                build_mitigation(Scheme::Shadow, &cfg),
-            )
-            .run();
-
-            let base = PowerReport::from_report(&pm, &SchemeEnergy::none(), &base_rep, ranks);
-            let sh = PowerReport::from_report(&pm, &SchemeEnergy::shadow(&pm), &sh_rep, ranks);
+            let run = |scheme| {
+                let rep = MemSystem::new(
+                    cfg,
+                    workload(wname, &cfg, 0xF12),
+                    build_mitigation(scheme, &cfg),
+                )
+                .run();
+                let energy = SchemeEnergy::for_scheme(&pm, scheme, cfg.rh.blast_radius);
+                (PowerReport::from_report(&pm, &energy, &rep, ranks), rep)
+            };
+            let (base, _) = run(Scheme::Baseline);
+            let (sh, sh_rep) = run(Scheme::Shadow);
             println!(
                 "{h:<10} {:>14.4} {:>14.4} {:>12.3} {:>12.1}",
                 sh.relative_to(&base),

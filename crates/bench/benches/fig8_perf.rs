@@ -12,7 +12,7 @@ use shadow_campaign::figure::{distinct, launch};
 
 fn main() {
     banner("Figure 8: relative performance vs unprotected baseline (DDR4-2666, H_cnt = 4K)");
-    let series = launch("fig8", &BenchArgs::from_args());
+    let series = launch("fig8", &BenchArgs::from_args("fig8_perf", BenchArgs::ALL));
     let schemes = distinct(series.iter().map(|r| r.cell.2));
     let workloads = distinct(series.iter().map(|r| r.cell.1.as_str()));
 

@@ -12,7 +12,7 @@ use shadow_bench::{
 };
 use shadow_memsys::{MemSystem, SystemConfig};
 
-fn run_with_trcd_extra(cfg: SystemConfig, wname: &str, extra: u64, h_cnt: u64) -> f64 {
+fn run_at_trcd(cfg: SystemConfig, wname: &str, trcd: u64, h_cnt: u64) -> f64 {
     let mut cfg = cfg;
     cfg.rh.h_cnt = h_cnt;
     // Baseline at stock tRCD (19 tCK).
@@ -22,25 +22,25 @@ fn run_with_trcd_extra(cfg: SystemConfig, wname: &str, extra: u64, h_cnt: u64) -
         build_mitigation(Scheme::Baseline, &cfg),
     )
     .run();
-    // SHADOW with an explicit tRCD' override: total tRCD = 19 + extra.
+    // The system adds SHADOW's own tRCD extension (tRD_RM, 6 tCK) to the
+    // config's tRCD, so the base tRCD absorbs the difference and tRCD'
+    // lands on the label, also below 19 + 6.
     let mitigation = build_mitigation(Scheme::Shadow, &cfg);
     let mut shadow_cfg = cfg;
-    // The mitigation will add its own t_rcd_extra (6 tCK). Adjust the base
-    // timing so the final tRCD' equals the requested value.
-    let own = mitigation.t_rcd_extra_cycles();
-    shadow_cfg.timing.t_rcd_extra = extra.saturating_sub(own);
-    let rep = MemSystem::new(shadow_cfg, workload(wname, &shadow_cfg, 0xF19), mitigation).run();
-    rep.relative_performance(&base)
+    shadow_cfg.timing.t_rcd = trcd - mitigation.t_rcd_extra_cycles();
+    let mut sys = MemSystem::new(shadow_cfg, workload(wname, &shadow_cfg, 0xF19), mitigation);
+    assert_eq!(sys.device().timing().t_rcd_effective(), trcd, "tRCD'");
+    sys.run().relative_performance(&base)
 }
 
 fn main() {
     banner("Figure 9: SHADOW tRCD sensitivity (normalized to tRCD19 baseline)");
-    let args = BenchArgs::from_args();
+    let args = BenchArgs::from_args("fig9_trcd", &["--requests"]);
     println!("({} worker threads)", host_cpus());
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = args.requests();
 
-    let trcds = [(23u64, 4u64), (25, 6), (27, 8)]; // (tRCD' label, extra tCK)
+    let trcds = [23u64, 25, 27]; // tRCD' in tCK
     let hcnts = [16384u64, 8192, 4096, 2048];
     let workloads = ["mix-high", "mix-blend"];
 
@@ -48,8 +48,8 @@ fn main() {
     let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = Vec::new();
     for wname in workloads {
         for h in hcnts {
-            for (_, extra) in trcds {
-                jobs.push(Box::new(move || run_with_trcd_extra(cfg, wname, extra, h)));
+            for trcd in trcds {
+                jobs.push(Box::new(move || run_at_trcd(cfg, wname, trcd, h)));
             }
         }
     }
@@ -59,8 +59,8 @@ fn main() {
     for wname in workloads {
         println!("\n[{wname}]");
         print!("{:<10}", "H_cnt");
-        for (label, _) in trcds {
-            print!(" {:>10}", format!("tRCD{label}"));
+        for trcd in trcds {
+            print!(" {:>10}", format!("tRCD{trcd}"));
         }
         println!();
         for h in hcnts {

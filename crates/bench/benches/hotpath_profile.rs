@@ -101,7 +101,7 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
 
 fn main() {
     banner("Hot-path profile: fast engine vs reference engine");
-    let args = BenchArgs::from_args();
+    let args = BenchArgs::from_args("hotpath_profile", &["--requests", "--oracle"]);
     let opts = RunOptions {
         oracle: args.oracle,
         ..RunOptions::default()

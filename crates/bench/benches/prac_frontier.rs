@@ -26,7 +26,10 @@ fn main() {
     banner(
         "PRAC-era frontier: PRAC / PRACtical / DAPPER vs SHADOW and RRS (DDR4-2666, H_cnt = 4K)",
     );
-    let series = launch("prac_frontier", &BenchArgs::from_args());
+    let series = launch(
+        "prac_frontier",
+        &BenchArgs::from_args("prac_frontier", BenchArgs::ALL),
+    );
 
     let mut header = vec!["workload", "scheme", "rel_perf"];
     header.extend(["abo_events", "abo_recovery_cycles", "tracker_evictions"]);

@@ -9,7 +9,7 @@ use shadow_bench::{banner, build_mitigation, workload, BenchArgs, Scheme};
 use shadow_memsys::{MemSystem, SystemConfig};
 
 fn main() {
-    let args = BenchArgs::from_args();
+    let args = BenchArgs::from_args("rfm_filter", &["--requests"]);
     banner("RFM filtering (paper §VIII): plain SHADOW vs SHADOW+filter");
     println!(
         "{:<12} {:>8} | {:>10} {:>10} | {:>10} {:>10}",

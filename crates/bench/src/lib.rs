@@ -16,7 +16,9 @@
 //! ([`stream_seed`]), and [`run_parallel`] returns results in job order
 //! regardless of which worker finished first.
 //!
-//! [`try_timed_run`] is the one function that runs a cell.
+//! [`try_timed_run`] is the one function that runs a cell. The schemes it
+//! runs come from the registry in `shadow-memsys` ([`Scheme`],
+//! [`build_mitigation`], [`TIME_SCALE`]), re-exported here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,111 +26,19 @@
 pub mod json;
 pub mod runner;
 
+pub use shadow_memsys::{build_mitigation, Scheme, TIME_SCALE};
+
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use shadow_conformance::{Fault, FaultyMitigation};
-use shadow_core::bank::ShadowConfig;
-use shadow_core::timing::ShadowTiming;
 use shadow_memsys::{Engine, MemSystem, SimError, SimReport, SystemConfig};
-use shadow_mitigations::{
-    BlockHammer, Dapper, Drr, Filtered, Graphene, Mithril, MithrilClass, Mitigation, NoMitigation,
-    Panopticon, Para, Parfm, Prac, Rrs, ShadowMitigation,
-};
-use shadow_rh::RhParams;
 use shadow_workloads::graph::GraphStream;
 use shadow_workloads::stencil::StencilStream;
 use shadow_workloads::stream::RandomStream;
 use shadow_workloads::{mix, AppProfile, ProfileStream, RequestStream};
-
-/// Every scheme the evaluation compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// No protection (normalization reference).
-    Baseline,
-    /// The paper's contribution.
-    Shadow,
-    /// PARA-with-RFM.
-    Parfm,
-    /// Mithril, performance-optimized (10 KB/bank CAM).
-    MithrilPerf,
-    /// Mithril, area-optimized (RAAIMT = 32).
-    MithrilArea,
-    /// BlockHammer throttling.
-    BlockHammer,
-    /// Randomized Row-Swap.
-    Rrs,
-    /// Double refresh rate.
-    Drr,
-    /// Classic PARA.
-    Para,
-    /// MC-side Misra–Gries TRR (§IX).
-    Graphene,
-    /// Per-row-counter in-DRAM TRR (§IX).
-    Panopticon,
-    /// SHADOW behind the §VIII D-CBF RFM filter.
-    ShadowFiltered,
-    /// JEDEC PRAC: per-row counters, rank-scope ABO recovery (RFMAB).
-    Prac,
-    /// PRACtical: batched PRAC counters, bank-scope recovery (RFMSB).
-    Practical,
-    /// DAPPER: performance-attack-resilient decrement tracker on RFM.
-    Dapper,
-}
-
-impl Scheme {
-    /// Display name matching the paper's figure legends.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::Baseline => "Baseline",
-            Scheme::Shadow => "SHADOW",
-            Scheme::Parfm => "PARFM",
-            Scheme::MithrilPerf => "Mithril-perf",
-            Scheme::MithrilArea => "Mithril-area",
-            Scheme::BlockHammer => "BlockHammer",
-            Scheme::Rrs => "RRS",
-            Scheme::Drr => "DRR",
-            Scheme::Para => "PARA",
-            Scheme::Graphene => "Graphene",
-            Scheme::Panopticon => "Panopticon",
-            Scheme::ShadowFiltered => "SHADOW+filter",
-            Scheme::Prac => "PRAC",
-            Scheme::Practical => "PRACtical",
-            Scheme::Dapper => "DAPPER",
-        }
-    }
-
-    /// Every scheme, in report order.
-    pub fn all() -> &'static [Scheme] {
-        &[
-            Scheme::Baseline,
-            Scheme::Shadow,
-            Scheme::ShadowFiltered,
-            Scheme::Parfm,
-            Scheme::MithrilPerf,
-            Scheme::MithrilArea,
-            Scheme::BlockHammer,
-            Scheme::Rrs,
-            Scheme::Drr,
-            Scheme::Para,
-            Scheme::Graphene,
-            Scheme::Panopticon,
-            Scheme::Prac,
-            Scheme::Practical,
-            Scheme::Dapper,
-        ]
-    }
-
-    /// Parses a scheme from its display name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<Scheme> {
-        Scheme::all()
-            .iter()
-            .copied()
-            .find(|s| s.name().eq_ignore_ascii_case(name))
-    }
-}
 
 /// Why a bench-harness operation failed.
 ///
@@ -199,96 +109,10 @@ pub const DEFAULT_REQUESTS: u64 = 60_000;
 /// Cores per multiprogrammed mix: the Table IV machine's 14.
 pub const MIX_CORES: usize = 14;
 
-/// Down-scaling factor for *window-relative* thresholds (RRS's swap
-/// threshold and BlockHammer's blacklist are defined per tREFW ≈ 85M
-/// cycles, but a bench run simulates a few-M-cycle slice). Thresholds and
-/// windows are multiplied by this factor so the schemes operate at the
-/// same per-window trigger rates they would over a full window — the
-/// standard time-dilation used when simulating window-scoped mechanisms on
-/// short slices (documented in DESIGN.md §2).
-pub const TIME_SCALE: f64 = 1.0 / 16.0;
-
 /// The stream seed every cell of `workload` runs with, so each scheme
 /// sees an identical stream set.
 pub fn stream_seed(workload: &str) -> u64 {
     0xACE0_0000 + workload.len() as u64
-}
-
-/// Builds the mitigation for `scheme` sized for `cfg` and its `rh.h_cnt`,
-/// with an optional blast-radius override for Fig. 10.
-pub fn build_mitigation(scheme: Scheme, cfg: &SystemConfig) -> Box<dyn Mitigation> {
-    let banks = cfg.geometry.total_banks() as usize;
-    let rh = cfg.rh;
-    let rows_sa = cfg.geometry.rows_per_subarray;
-    let scaled_h_cnt = ((rh.h_cnt as f64 * TIME_SCALE) as u64).max(64);
-    let scaled = || RhParams::new(scaled_h_cnt, rh.blast_radius);
-    let scaled_window = ((cfg.timing.t_refw as f64 * TIME_SCALE) as u64).max(1);
-    let shadow = || {
-        let scfg = ShadowConfig {
-            subarrays: cfg.geometry.subarrays_per_bank,
-            rows_per_subarray: rows_sa,
-        };
-        ShadowMitigation::new(
-            banks,
-            scfg,
-            ShadowMitigation::raaimt_for(rh.h_cnt),
-            &cfg.timing,
-            &ShadowTiming::paper_default(),
-            0xD1CE,
-        )
-    };
-    match scheme {
-        Scheme::Baseline => Box::new(NoMitigation::new()),
-        Scheme::Shadow => Box::new(shadow()),
-        Scheme::Parfm => Box::new(
-            Parfm::new(
-                banks,
-                rh,
-                Parfm::raaimt_for(rh.h_cnt, rh.blast_radius),
-                0xFA11,
-            )
-            .with_rows_per_subarray(rows_sa),
-        ),
-        Scheme::MithrilPerf => {
-            Box::new(Mithril::new(banks, MithrilClass::Perf, rh).with_rows_per_subarray(rows_sa))
-        }
-        Scheme::MithrilArea => {
-            Box::new(Mithril::new(banks, MithrilClass::Area, rh).with_rows_per_subarray(rows_sa))
-        }
-        Scheme::BlockHammer => Box::new(BlockHammer::new(banks, scaled(), scaled_window)),
-        Scheme::Rrs => Box::new(Rrs::new(
-            banks,
-            cfg.geometry.rows_per_bank(),
-            scaled(),
-            0x5A5A,
-        )),
-        Scheme::Drr => Box::new(Drr::new()),
-        Scheme::Para => Box::new(Para::for_h_cnt(rh, 0xBEEF).with_rows_per_subarray(rows_sa)),
-        Scheme::Graphene => {
-            Box::new(Graphene::new(banks, scaled()).with_rows_per_subarray(rows_sa))
-        }
-        Scheme::Panopticon => Box::new(
-            Panopticon::new(banks, cfg.geometry.rows_per_bank(), scaled())
-                .with_rows_per_subarray(rows_sa),
-        ),
-        Scheme::Prac => Box::new(Prac::new(
-            banks,
-            cfg.geometry.rows_per_bank(),
-            rows_sa,
-            scaled(),
-        )),
-        Scheme::Practical => Box::new(Prac::practical(
-            banks,
-            cfg.geometry.rows_per_bank(),
-            rows_sa,
-            scaled(),
-        )),
-        Scheme::Dapper => Box::new(Dapper::new(banks, scaled()).with_rows_per_subarray(rows_sa)),
-        Scheme::ShadowFiltered => {
-            let watch = Filtered::<ShadowMitigation>::watch_threshold_for(scaled_h_cnt);
-            Box::new(Filtered::new(shadow(), banks, watch, scaled_window))
-        }
-    }
 }
 
 /// Named workload factories (rebuilt per run so every scheme sees an
@@ -375,10 +199,7 @@ fn oracle_check(sys: &mut MemSystem, cfg: &SystemConfig, scheme: Scheme, workloa
         );
         return;
     }
-    // `Filtered` suppresses RAA counting for unwatched rows, so exact
-    // overflow accounting only applies to the unfiltered schemes.
-    let raa_exact = scheme != Scheme::ShadowFiltered;
-    let oracle = shadow_conformance::oracle_for(sys, cfg, raa_exact);
+    let oracle = shadow_conformance::oracle_for(sys, cfg, scheme.raa_exact());
     let records = sys.take_trace().expect("oracle mode enables tracing");
     let violations = oracle.replay(&records);
     assert!(
@@ -562,8 +383,9 @@ pub fn try_timed_run(
 }
 
 /// The arguments a simulating bench target takes after cargo's `--`:
-/// `[--requests N] [--manifest PATH] [--oracle]`. Cargo appends `--bench`
-/// to a `harness = false` target's arguments; it is accepted and ignored.
+/// `[--requests N] [--manifest PATH] [--oracle]`, each bench taking only
+/// the flags it honours. Cargo appends `--bench` to a `harness = false`
+/// target's arguments; it is accepted and ignored.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchArgs {
     /// `--requests N`: completed-request target per run; replaces a
@@ -571,23 +393,46 @@ pub struct BenchArgs {
     pub requests: Option<u64>,
     /// `--manifest PATH`: the figure sweeps' JSONL checkpoint manifest.
     /// Completed cells are appended and restored on re-run, so an
-    /// interrupted sweep resumes bit-identically.
+    /// interrupted sweep resumes bit-identically. A relative PATH is
+    /// resolved against the workspace root ([`BenchArgs::manifest_path`]).
     pub manifest: Option<PathBuf>,
     /// `--oracle`: replay every run's command trace through the
     /// conformance oracle (`hotpath_profile` and the figure sweeps).
     pub oracle: bool,
 }
 
+/// The flags [`BenchArgs`] knows, with their usage forms.
+const BENCH_FLAGS: [(&str, &str); 3] = [
+    ("--requests", "[--requests N]"),
+    (
+        "--manifest",
+        "[--manifest PATH (relative to the workspace root)]",
+    ),
+    ("--oracle", "[--oracle]"),
+];
+
 impl BenchArgs {
-    /// Parses `args` (the program name already stripped).
+    /// Every flag: what the figure sweeps honour.
+    pub const ALL: &'static [&'static str] = &["--requests", "--manifest", "--oracle"];
+
+    /// Parses `args` (the program name already stripped) for the bench
+    /// `bench`, which honours the flags `honoured`.
     ///
     /// # Errors
     ///
-    /// A message naming the unknown argument or the malformed value.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
+    /// A message naming the unknown argument, the malformed value, or the
+    /// known flag that `bench` does not honour.
+    pub fn parse(
+        bench: &str,
+        honoured: &[&str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<BenchArgs, String> {
         let mut out = BenchArgs::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            if Self::ALL.contains(&arg.as_str()) && !honoured.contains(&arg.as_str()) {
+                return Err(format!("{bench} does not honour `{arg}`"));
+            }
             let mut value = || it.next().ok_or(format!("{arg} needs a value"));
             match arg.as_str() {
                 "--bench" => {}
@@ -604,13 +449,30 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// The process's own arguments; a malformed command line prints the
-    /// error and the usage and exits with status 2.
-    pub fn from_args() -> BenchArgs {
-        BenchArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("{e}\nusage: cargo bench --bench <target> -- [--requests N] [--manifest PATH] [--oracle]");
+    /// The process's own arguments for the bench `bench`, which honours
+    /// the flags `honoured`; a malformed command line, or a flag `bench`
+    /// does not honour, prints the error and the usage and exits with
+    /// status 2.
+    pub fn from_args(bench: &str, honoured: &[&str]) -> BenchArgs {
+        BenchArgs::parse(bench, honoured, std::env::args().skip(1)).unwrap_or_else(|e| {
+            let flags: Vec<&str> = BENCH_FLAGS
+                .iter()
+                .filter(|(flag, _)| honoured.contains(flag))
+                .map(|(_, usage)| *usage)
+                .collect();
+            eprintln!(
+                "{e}\nusage: cargo bench --bench {bench} -- {}",
+                flags.join(" ")
+            );
             std::process::exit(2)
         })
+    }
+
+    /// `--manifest`, a relative path resolved against [`workspace_root`]
+    /// (where `recipes/` and `target/` live), not the working directory,
+    /// which cargo sets to the bench's package directory.
+    pub fn manifest_path(&self) -> Option<PathBuf> {
+        self.manifest.as_ref().map(|p| workspace_root().join(p))
     }
 
     /// `--requests`, else [`DEFAULT_REQUESTS`].
@@ -734,24 +596,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_scheme_constructs() {
-        let cfg = SystemConfig::tiny();
-        for &s in Scheme::all() {
-            let m = build_mitigation(s, &cfg);
-            assert_eq!(m.name(), s.name());
-        }
-    }
-
-    #[test]
-    fn scheme_names_parse_back() {
-        for &s in Scheme::all() {
-            assert_eq!(Scheme::from_name(s.name()), Some(s));
-            assert_eq!(Scheme::from_name(&s.name().to_lowercase()), Some(s));
-        }
-        assert_eq!(Scheme::from_name("nope"), None);
-    }
-
-    #[test]
     fn workloads_resolve() {
         let cfg = SystemConfig::ddr4_actual_system();
         for name in [
@@ -837,7 +681,8 @@ mod tests {
 
     #[test]
     fn bench_args_take_cargos_bench_flag() {
-        let args = |a: &str| BenchArgs::parse(a.split_whitespace().map(String::from));
+        let args =
+            |a: &str| BenchArgs::parse("b", BenchArgs::ALL, a.split_whitespace().map(String::from));
         let want = BenchArgs {
             requests: Some(2000),
             manifest: Some(PathBuf::from("m")),
@@ -852,5 +697,44 @@ mod tests {
             let flag = bad.split(' ').next().unwrap();
             assert!(args(bad).is_err_and(|e| e.contains(flag)), "{bad}");
         }
+    }
+
+    #[test]
+    fn bench_args_refuse_flags_the_bench_ignores() {
+        let args = |honoured: &[&str], a: &str| {
+            BenchArgs::parse(
+                "fig9_trcd",
+                honoured,
+                a.split_whitespace().map(String::from),
+            )
+        };
+        let requests_only = &["--requests"];
+        assert_eq!(
+            args(requests_only, "--requests 10 --bench").map(|a| a.requests()),
+            Ok(10)
+        );
+        for flag in ["--oracle", "--manifest m"] {
+            let e = args(requests_only, flag).expect_err(flag);
+            let name = flag.split(' ').next().unwrap();
+            assert!(e.contains(name) && e.contains("fig9_trcd"), "{e}");
+        }
+        let e = args(&["--requests", "--oracle"], "--oracle --manifest m").expect_err("manifest");
+        assert!(e.contains("--manifest"), "{e}");
+    }
+
+    #[test]
+    fn relative_manifest_resolves_against_workspace_root() {
+        let args = |m: &str| BenchArgs {
+            manifest: Some(PathBuf::from(m)),
+            ..BenchArgs::default()
+        };
+        let rel = args("target/m.jsonl").manifest_path().expect("set");
+        assert_eq!(rel, workspace_root().join("target/m.jsonl"));
+        assert!(rel.parent().expect("dir").join("../recipes").is_dir());
+        assert_eq!(
+            args("/abs/m.jsonl").manifest_path(),
+            Some(PathBuf::from("/abs/m.jsonl"))
+        );
+        assert_eq!(BenchArgs::default().manifest_path(), None);
     }
 }

@@ -68,8 +68,9 @@ pub fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
 /// cells, in expansion order, relative to their Baseline partners.
 ///
 /// `args.requests`, when given, replaces every scenario's `requests`;
-/// `args.manifest` names the checkpoint manifest (relative to the working
-/// directory); `args.oracle` replays every executed cell through the
+/// `args.manifest` names the checkpoint manifest (a relative path is
+/// resolved against the workspace root, [`BenchArgs::manifest_path`]);
+/// `args.oracle` replays every executed cell through the
 /// protocol oracle. Worker threads come from the recipe, else the host
 /// CPU count.
 ///
@@ -90,14 +91,8 @@ pub fn launch(name: &str, args: &BenchArgs) -> Vec<Relative> {
     }
     let cells = recipe.expand();
     let partners = baseline_partners(&cells).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    // A relative `--manifest` means the working directory, not the recipe
-    // directory that `base_dir` resolves recipe paths against.
-    let manifest = args
-        .manifest
-        .as_ref()
-        .map(|p| std::path::absolute(p).expect("current directory"));
     let opts = CampaignOptions {
-        manifest,
+        manifest: args.manifest_path(),
         base_dir: Some(dir),
         oracle: args.oracle,
         ..CampaignOptions::default()

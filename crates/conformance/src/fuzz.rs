@@ -24,11 +24,12 @@
 //! run a reduced sweep.
 
 use crate::oracle::oracle_for;
-use crate::schemes::ConfScheme;
 use shadow_dram::geometry::DramGeometry;
 use shadow_dram::timing::TimingParams;
 use shadow_dram::trace::CommandRecord;
-use shadow_memsys::{Engine, MemSystem, PagePolicy, SimReport, SystemConfig};
+use shadow_memsys::{
+    build_mitigation, Engine, MemSystem, PagePolicy, Scheme, SimReport, SystemConfig,
+};
 use shadow_mitigations::{EpochCheck, Mitigation, Retranslate};
 use shadow_rh::RhParams;
 use shadow_sim::rng::Xoshiro256;
@@ -49,8 +50,8 @@ pub fn proptest_cases(default: usize) -> usize {
 pub struct FuzzCase {
     /// System configuration (geometry, timing, policies) for the cell.
     pub cfg: SystemConfig,
-    /// Mitigation under test.
-    pub scheme: ConfScheme,
+    /// Mitigation under test, drawn from [`Scheme::all`].
+    pub scheme: Scheme,
     /// Per-core stream recipes: `(use_profile, seed)`.
     pub streams: Vec<(bool, u64)>,
 }
@@ -99,9 +100,7 @@ pub fn gen_case(case_seed: u64) -> FuzzCase {
     tp.validate()
         .unwrap_or_else(|e| panic!("generated timing invalid ({case_seed:#x}): {e}"));
 
-    let scheme = *ConfScheme::all()
-        .get(rng.gen_index(ConfScheme::all().len()))
-        .expect("non-empty");
+    let scheme = Scheme::all()[rng.gen_index(Scheme::all().len())];
     let cfg = SystemConfig {
         geometry,
         timing: tp,
@@ -172,7 +171,7 @@ pub fn run_differential(case: &FuzzCase) -> Result<(), String> {
     let mut traces: Vec<Vec<CommandRecord>> = Vec::new();
     for (variant, name) in VARIANTS.iter().enumerate() {
         let mut cfg = case.cfg;
-        let base = case.scheme.build(&cfg);
+        let base = build_mitigation(case.scheme, &cfg);
         let mitigation: Box<dyn Mitigation> = match variant {
             0 => Box::new(EpochCheck::new(base)),
             1 => Box::new(Retranslate::new(base)),
@@ -190,11 +189,11 @@ pub fn run_differential(case: &FuzzCase) -> Result<(), String> {
                 trace.dropped()
             ));
         }
-        // Every fuzzed scheme counts every ACT toward RFM (none filter
-        // demand the way `Filtered` does), so exact RAA accounting
-        // applies; ABO schemes additionally get the oracle's zero-grace
-        // recovery model via the system's captured contract.
-        let oracle = oracle_for(&sys, &cfg, true);
+        // Exact RAA accounting applies unless the scheme filters RFM
+        // demand (SHADOW+filter); ABO schemes additionally get the
+        // oracle's zero-grace recovery model via the system's captured
+        // contract.
+        let oracle = oracle_for(&sys, &cfg, case.scheme.raa_exact());
         let records = sys.take_trace().expect("tracing enabled");
         let violations = oracle.replay(&records);
         if !violations.is_empty() {
@@ -258,6 +257,15 @@ mod tests {
             let case = gen_case(seed);
             assert!(case.cfg.timing.validate().is_ok(), "seed {seed}");
             assert!(case.cfg.geometry.total_banks() > 0);
+        }
+    }
+
+    #[test]
+    fn first_256_seeds_draw_every_scheme() {
+        let drawn: std::collections::HashSet<Scheme> =
+            (0..256).map(|seed| gen_case(seed).scheme).collect();
+        for s in Scheme::all() {
+            assert!(drawn.contains(s), "{} never drawn", s.name());
         }
     }
 

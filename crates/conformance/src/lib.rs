@@ -17,9 +17,11 @@
 //!   oracle-clean, with `EpochCheck` policing the
 //!   remap-epoch contract the translation cache relies on.
 //!
-//! [`schemes`] carries the mitigation recipes (mirroring the bench
-//! harness) so the suite sweeps the same configurations the evaluation
-//! runs.
+//! Both sweep every scheme of the evaluation's registry
+//! (`shadow_memsys::Scheme::all()`, built by
+//! `shadow_memsys::build_mitigation`), so the suite checks exactly the
+//! configurations the evaluation runs, and a scheme added there is
+//! oracle-replayed and fuzzed with no edit here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,9 +30,7 @@
 pub mod fault;
 pub mod fuzz;
 pub mod oracle;
-pub mod schemes;
 
 pub use fault::{Fault, FaultyMitigation, FaultyStream};
 pub use fuzz::{gen_case, proptest_cases, run_differential, FuzzCase};
 pub use oracle::{oracle_for, TimingKind, TimingOracle, Violation, ViolationKind};
-pub use schemes::ConfScheme;

@@ -5,7 +5,8 @@
 //! Case count honors `PROPTEST_CASES` (CI runs a reduced sweep); the
 //! default is 64 cells.
 
-use shadow_conformance::{gen_case, proptest_cases, run_differential, ConfScheme};
+use shadow_conformance::{gen_case, proptest_cases, run_differential};
+use shadow_memsys::Scheme;
 use shadow_rh::RhParams;
 
 #[test]
@@ -44,14 +45,14 @@ fn randomized_cells_agree_across_engine_variants() {
 
 /// PRAC-era slice: the same differential harness, but every
 /// cell pinned to one of the ABO schemes (PRAC, PRACtical) or DAPPER.
-/// The random draw in [`gen_case`] only lands on them ~3/11 of the time,
+/// The random draw in [`gen_case`] only lands on them ~3/15 of the time,
 /// so CI's reduced sweeps could otherwise pass with the Alert Back-Off
 /// recovery path (and the oracle's zero-grace ABO rules) barely
 /// exercised. Cells keep their randomized geometry/timing/workload; only
 /// the scheme is overridden, round-robin across the three.
 #[test]
 fn prac_era_cells_agree_across_engine_variants() {
-    const SCHEMES: [ConfScheme; 3] = [ConfScheme::Prac, ConfScheme::Practical, ConfScheme::Dapper];
+    const SCHEMES: [Scheme; 3] = [Scheme::Prac, Scheme::Practical, Scheme::Dapper];
     let cases = proptest_cases(24);
     for i in 0..cases as u64 {
         let mut case = gen_case(0xAB0_0000 + i);
@@ -81,12 +82,7 @@ fn prac_era_cells_agree_across_engine_variants() {
 /// make both events frequent within a short cell.
 #[test]
 fn remap_churn_and_abo_drain_cells_agree_across_engine_variants() {
-    const SCHEMES: [ConfScheme; 4] = [
-        ConfScheme::Shadow,
-        ConfScheme::Rrs,
-        ConfScheme::Prac,
-        ConfScheme::Practical,
-    ];
+    const SCHEMES: [Scheme; 4] = [Scheme::Shadow, Scheme::Rrs, Scheme::Prac, Scheme::Practical];
     let cases = proptest_cases(16);
     for i in 0..cases as u64 {
         let mut case = gen_case(0x5EED_0000 + i);

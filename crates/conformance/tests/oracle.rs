@@ -2,10 +2,10 @@
 //! Fig. 8-shaped sweep slice for every scheme, and a deliberately weakened
 //! engine must get caught.
 
-use shadow_conformance::{oracle_for, ConfScheme, TimingKind, TimingOracle, ViolationKind};
+use shadow_conformance::{oracle_for, TimingKind, TimingOracle, ViolationKind};
 use shadow_dram::geometry::DramGeometry;
 use shadow_dram::timing::TimingParams;
-use shadow_memsys::{MemSystem, SystemConfig};
+use shadow_memsys::{build_mitigation, MemSystem, Scheme, SystemConfig};
 use shadow_rh::RhParams;
 use shadow_workloads::stream::RandomStream;
 use shadow_workloads::{AppProfile, ProfileStream, RequestStream};
@@ -19,15 +19,15 @@ fn fig8_streams(cap: u64, seed: u64) -> Vec<Box<dyn RequestStream>> {
     streams
 }
 
-/// Every scheme of the paper's Fig. 8 sweep, on the DDR4 actual-system
+/// Every scheme of the registry, on the Fig. 8 DDR4 actual-system
 /// configuration, produces an oracle-clean command trace.
 #[test]
 fn fig8_slice_is_oracle_clean_for_every_scheme() {
     let mut cfg = SystemConfig::ddr4_actual_system();
     cfg.target_requests = 2_500;
     cfg.trace_depth = 1 << 20;
-    for &scheme in ConfScheme::all() {
-        let mitigation = scheme.build(&cfg);
+    for &scheme in Scheme::all() {
+        let mitigation = build_mitigation(scheme, &cfg);
         let mut sys = MemSystem::new(cfg, fig8_streams(cfg.capacity_bytes(), 0xF168), mitigation);
         let report = sys.run();
         assert!(
@@ -37,7 +37,7 @@ fn fig8_slice_is_oracle_clean_for_every_scheme() {
         );
         let trace = sys.device().trace().expect("tracing enabled");
         assert!(trace.is_complete(), "{}: trace truncated", scheme.name());
-        let oracle = oracle_for(&sys, &cfg, true);
+        let oracle = oracle_for(&sys, &cfg, scheme.raa_exact());
         let records = sys.take_trace().expect("tracing enabled");
         assert!(!records.is_empty(), "{}: empty trace", scheme.name());
         let violations = oracle.replay(&records);
@@ -96,7 +96,7 @@ fn oracle_catches_engine_with_weakened_tfaw() {
                 as Box<dyn RequestStream>
         })
         .collect();
-    let mut sys = MemSystem::new(cfg, streams, ConfScheme::Baseline.build(&cfg));
+    let mut sys = MemSystem::new(cfg, streams, build_mitigation(Scheme::Baseline, &cfg));
     sys.run();
     let records = sys.take_trace().expect("tracing enabled");
 
@@ -135,7 +135,7 @@ fn truncated_trace_is_reported_not_verified() {
     let mut sys = MemSystem::new(
         cfg,
         vec![Box::new(RandomStream::new(1 << 20, 7)) as Box<dyn RequestStream>],
-        ConfScheme::Baseline.build(&cfg),
+        build_mitigation(Scheme::Baseline, &cfg),
     );
     sys.run();
     let oracle = oracle_for(&sys, &cfg, true);

@@ -8,7 +8,7 @@
 
 use shadow_core::bank::ShadowConfig;
 use shadow_core::timing::ShadowTiming;
-use shadow_memsys::{Engine, MemSystem, PagePolicy, SystemConfig};
+use shadow_memsys::{build_mitigation, Engine, MemSystem, PagePolicy, Scheme, SystemConfig};
 use shadow_mitigations::{Mitigation, NoMitigation, Prac, Rrs, ShadowMitigation};
 use shadow_rh::RhParams;
 use shadow_sim::rng::Xoshiro256;
@@ -270,9 +270,9 @@ fn deterministic_under_any_knobs() {
 /// closed-bank activation, so channel shards keep reporting `!skip_ok` and
 /// the coordinator must fall back to the legacy crawl cadence (the min of
 /// the per-shard conservative bounds) instead of the exact refresh wake.
-/// The case is checked in by value — geometry, timing, streams, and the
-/// RRS recipe all pinned — so it survives any future reshuffle of the
-/// fuzzer's scheme table or seed mapping. The property is the one the
+/// The case is checked in by value — geometry, timing and streams pinned,
+/// RRS built by the scheme registry — so it survives any future reshuffle
+/// of the fuzzer's scheme table or seed mapping. The property is the one the
 /// fuzzer asserted: the fast engine and the reference engine stay
 /// bit-identical in both report and command trace.
 #[test]
@@ -316,19 +316,6 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     cfg.posted_writes = true;
     cfg.trace_depth = 1 << 20;
 
-    // The conformance harness's RRS recipe: seed 0x5A5A, threshold scaled
-    // by its 1/16 window slice and floored at 64.
-    let rrs = |cfg: &SystemConfig| -> Box<dyn Mitigation> {
-        Box::new(Rrs::new(
-            cfg.geometry.total_banks() as usize,
-            cfg.geometry.rows_per_bank(),
-            RhParams::new(
-                ((cfg.rh.h_cnt as f64 / 16.0) as u64).max(64),
-                cfg.rh.blast_radius,
-            ),
-            0x5A5A,
-        ))
-    };
     // Cell 56's stream recipe: one random core, two SPEC-profile cores.
     let streams = |cfg: &SystemConfig| -> Vec<Box<dyn RequestStream>> {
         let cap = cfg.capacity_bytes().max(1 << 20);
@@ -353,7 +340,7 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     let run_variant = |mutate: &dyn Fn(&mut SystemConfig)| {
         let mut c = cfg;
         mutate(&mut c);
-        let mut sys = MemSystem::new(c, streams(&c), rrs(&c));
+        let mut sys = MemSystem::new(c, streams(&c), build_mitigation(Scheme::Rrs, &c));
         let report = sys.run();
         let trace = sys.take_trace().expect("tracing enabled");
         (report, trace)

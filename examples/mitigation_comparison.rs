@@ -7,84 +7,9 @@
 
 use shadow_repro::analysis::area::{AreaModel, AreaReport};
 use shadow_repro::analysis::power::{PowerModel, PowerReport, SchemeEnergy};
-use shadow_repro::core::bank::ShadowConfig;
-use shadow_repro::core::timing::ShadowTiming;
-use shadow_repro::memsys::{MemSystem, SimReport, SystemConfig};
-use shadow_repro::mitigations::{
-    BlockHammer, Drr, Filtered, Graphene, Mithril, MithrilClass, Mitigation, NoMitigation,
-    Panopticon, Para, Parfm, Rrs, ShadowMitigation,
-};
+use shadow_repro::memsys::{build_mitigation, MemSystem, Scheme, SystemConfig};
 use shadow_repro::rh::RhParams;
 use shadow_repro::workloads::{mix, RequestStream};
-
-fn build(name: &str, cfg: &SystemConfig) -> Box<dyn Mitigation> {
-    let banks = cfg.geometry.total_banks() as usize;
-    let rh = cfg.rh;
-    let rows = cfg.geometry.rows_per_subarray;
-    match name {
-        "Baseline" => Box::new(NoMitigation::new()),
-        "SHADOW" => Box::new(ShadowMitigation::new(
-            banks,
-            ShadowConfig {
-                subarrays: cfg.geometry.subarrays_per_bank,
-                rows_per_subarray: rows,
-            },
-            ShadowMitigation::raaimt_for(rh.h_cnt),
-            &cfg.timing,
-            &ShadowTiming::paper_default(),
-            1,
-        )),
-        "PARFM" => Box::new(
-            Parfm::new(banks, rh, Parfm::raaimt_for(rh.h_cnt, rh.blast_radius), 2)
-                .with_rows_per_subarray(rows),
-        ),
-        "Mithril-perf" => {
-            Box::new(Mithril::new(banks, MithrilClass::Perf, rh).with_rows_per_subarray(rows))
-        }
-        "Mithril-area" => {
-            Box::new(Mithril::new(banks, MithrilClass::Area, rh).with_rows_per_subarray(rows))
-        }
-        "BlockHammer" => {
-            // Window-relative thresholds scaled to the simulated slice
-            // (see shadow-bench's time-dilation note).
-            let scaled = RhParams::new(rh.h_cnt / 16, rh.blast_radius);
-            Box::new(BlockHammer::new(banks, scaled, cfg.timing.t_refw / 16))
-        }
-        "RRS" => {
-            let scaled = RhParams::new((rh.h_cnt / 16).max(64), rh.blast_radius);
-            Box::new(Rrs::new(banks, cfg.geometry.rows_per_bank(), scaled, 3))
-        }
-        "DRR" => Box::new(Drr::new()),
-        "PARA" => Box::new(Para::for_h_cnt(rh, 4).with_rows_per_subarray(rows)),
-        "Graphene" => {
-            let scaled = RhParams::new((rh.h_cnt / 16).max(64), rh.blast_radius);
-            Box::new(Graphene::new(banks, scaled).with_rows_per_subarray(rows))
-        }
-        "Panopticon" => {
-            let scaled = RhParams::new((rh.h_cnt / 16).max(64), rh.blast_radius);
-            Box::new(
-                Panopticon::new(banks, cfg.geometry.rows_per_bank(), scaled)
-                    .with_rows_per_subarray(rows),
-            )
-        }
-        "SHADOW+filter" => {
-            let inner = ShadowMitigation::new(
-                banks,
-                ShadowConfig {
-                    subarrays: cfg.geometry.subarrays_per_bank,
-                    rows_per_subarray: rows,
-                },
-                ShadowMitigation::raaimt_for(rh.h_cnt),
-                &cfg.timing,
-                &ShadowTiming::paper_default(),
-                1,
-            );
-            let watch = Filtered::<ShadowMitigation>::watch_threshold_for((rh.h_cnt / 16).max(64));
-            Box::new(Filtered::new(inner, banks, watch, cfg.timing.t_refw / 16))
-        }
-        other => panic!("unknown scheme {other}"),
-    }
-}
 
 fn streams(cfg: &SystemConfig) -> Vec<Box<dyn RequestStream>> {
     mix::mix_high(8, cfg.capacity_bytes(), 0xC0FFEE)
@@ -105,46 +30,28 @@ fn main() {
         "scheme", "rel perf", "RFMs", "flips", "P_sys rel", "area mm^2"
     );
 
-    let base: SimReport = MemSystem::new(cfg, streams(&cfg), build("Baseline", &cfg)).run();
+    let run = |scheme| MemSystem::new(cfg, streams(&cfg), build_mitigation(scheme, &cfg)).run();
+    let base = run(Scheme::Baseline);
     let base_power = PowerReport::from_report(&pm, &SchemeEnergy::none(), &base, 8);
 
-    for name in [
-        "Baseline",
-        "SHADOW",
-        "SHADOW+filter",
-        "PARFM",
-        "Mithril-perf",
-        "Mithril-area",
-        "BlockHammer",
-        "RRS",
-        "DRR",
-        "PARA",
-        "Graphene",
-        "Panopticon",
-    ] {
-        let rep = if name == "Baseline" {
+    for &scheme in Scheme::all() {
+        let rep = if scheme == Scheme::Baseline {
             base.clone()
         } else {
-            MemSystem::new(cfg, streams(&cfg), build(name, &cfg)).run()
+            run(scheme)
         };
-        let energy = match name {
-            "SHADOW" | "SHADOW+filter" => SchemeEnergy::shadow(&pm),
-            "PARFM" | "Mithril-perf" | "Mithril-area" | "PARA" | "Graphene" | "Panopticon" => {
-                SchemeEnergy::trr(&pm, cfg.rh.blast_radius)
-            }
-            _ => SchemeEnergy::none(),
-        };
+        let energy = SchemeEnergy::for_scheme(&pm, scheme, cfg.rh.blast_radius);
         let power = PowerReport::from_report(&pm, &energy, &rep, 8);
-        let area_mm2 = match name {
-            "SHADOW" => area_row.shadow_mm2,
-            "Mithril-perf" => area_row.mithril_perf_mm2,
-            "Mithril-area" => area_row.mithril_area_mm2,
-            "RRS" => area_row.rrs_mm2,
+        let area_mm2 = match scheme {
+            Scheme::Shadow => area_row.shadow_mm2,
+            Scheme::MithrilPerf => area_row.mithril_perf_mm2,
+            Scheme::MithrilArea => area_row.mithril_area_mm2,
+            Scheme::Rrs => area_row.rrs_mm2,
             _ => 0.0,
         };
         println!(
             "{:<14} {:>9.3} {:>8} {:>8} {:>10.4} {:>12.3}",
-            name,
+            scheme.name(),
             rep.relative_performance(&base),
             rep.commands.get("RFM"),
             rep.total_flips(),

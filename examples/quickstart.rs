@@ -5,10 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use shadow_repro::core::bank::ShadowConfig;
-use shadow_repro::core::timing::ShadowTiming;
-use shadow_repro::memsys::{MemSystem, SystemConfig};
-use shadow_repro::mitigations::{NoMitigation, ShadowMitigation};
+use shadow_repro::memsys::{build_mitigation, MemSystem, Scheme, SystemConfig};
 use shadow_repro::workloads::{AppProfile, ProfileStream, RequestStream};
 
 fn streams(cfg: &SystemConfig) -> Vec<Box<dyn RequestStream>> {
@@ -30,21 +27,12 @@ fn main() {
     println!("simulating {} spec-high cores on DDR4-2666 x4ch ...", 5);
 
     // 1. Unprotected baseline.
-    let base = MemSystem::new(cfg, streams(&cfg), Box::new(NoMitigation::new())).run();
+    let run = |scheme| MemSystem::new(cfg, streams(&cfg), build_mitigation(scheme, &cfg)).run();
+    let base = run(Scheme::Baseline);
 
-    // 2. SHADOW at the Table II secure configuration for 4K (RAAIMT = 64).
-    let shadow = ShadowMitigation::new(
-        cfg.geometry.total_banks() as usize,
-        ShadowConfig {
-            subarrays: cfg.geometry.subarrays_per_bank,
-            rows_per_subarray: cfg.geometry.rows_per_subarray,
-        },
-        ShadowMitigation::raaimt_for(cfg.rh.h_cnt),
-        &cfg.timing,
-        &ShadowTiming::paper_default(),
-        42,
-    );
-    let protected = MemSystem::new(cfg, streams(&cfg), Box::new(shadow)).run();
+    // 2. SHADOW as the evaluation builds it: the Table II secure
+    //    configuration for 4K (RAAIMT = 64).
+    let protected = run(Scheme::Shadow);
 
     println!("\n{:<22} {:>12} {:>12}", "", "baseline", "SHADOW");
     println!(

@@ -153,16 +153,7 @@ fn main() {
     } else {
         PowerModel::ddr4_2666()
     };
-    let energy = match args.scheme {
-        Scheme::Shadow | Scheme::ShadowFiltered => SchemeEnergy::shadow(&pm),
-        Scheme::Parfm
-        | Scheme::MithrilPerf
-        | Scheme::MithrilArea
-        | Scheme::Para
-        | Scheme::Graphene
-        | Scheme::Panopticon => SchemeEnergy::trr(&pm, args.blast),
-        _ => SchemeEnergy::none(),
-    };
+    let energy = SchemeEnergy::for_scheme(&pm, args.scheme, args.blast);
     let ranks = cfg.geometry.total_ranks();
     let p_base = PowerReport::from_report(&pm, &SchemeEnergy::none(), &base, ranks);
     let p_rep = PowerReport::from_report(&pm, &energy, &rep, ranks);
