@@ -595,6 +595,26 @@ pub fn cell(v: f64) -> String {
 mod tests {
     use super::*;
 
+    // The registry lives in shadow-memsys; these pin it as this crate
+    // re-exports it to the benches, the campaign engine and the CLI.
+    #[test]
+    fn every_scheme_constructs() {
+        let cfg = SystemConfig::tiny();
+        for &s in Scheme::all() {
+            let m = build_mitigation(s, &cfg);
+            assert_eq!(m.name(), s.name());
+        }
+    }
+
+    #[test]
+    fn scheme_names_parse_back() {
+        for &s in Scheme::all() {
+            assert_eq!(Scheme::from_name(s.name()), Some(s));
+            assert_eq!(Scheme::from_name(&s.name().to_lowercase()), Some(s));
+        }
+        assert_eq!(Scheme::from_name("nope"), None);
+    }
+
     #[test]
     fn workloads_resolve() {
         let cfg = SystemConfig::ddr4_actual_system();

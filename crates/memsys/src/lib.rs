@@ -24,7 +24,7 @@
 //! action is applied to the same [`HammerLedger`](shadow_rh::HammerLedger)
 //! the attacker hits, so protection and performance come from one mechanism.
 //!
-//! [`scheme`] is the registry of the evaluated schemes: [`Scheme`] names
+//! [`schemes`] is the registry of the evaluated schemes: [`Scheme`] names
 //! one and [`build_mitigation`] builds it for a [`SystemConfig`].
 //!
 //! ## Example
@@ -57,7 +57,7 @@ pub mod config;
 pub mod cpu;
 pub mod error;
 pub mod report;
-pub mod scheme;
+pub mod schemes;
 mod shard;
 pub mod system;
 
@@ -65,5 +65,5 @@ pub use attacker::AttackerCore;
 pub use config::{Engine, PagePolicy, SystemConfig};
 pub use error::{BankStall, SimError, StallKind, StallSnapshot};
 pub use report::SimReport;
-pub use scheme::{build_mitigation, Scheme, TIME_SCALE};
+pub use schemes::{build_mitigation, Scheme, TIME_SCALE};
 pub use system::MemSystem;

@@ -202,11 +202,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_scheme_constructs() {
+    fn every_scheme_builds_on_tiny() {
         let cfg = SystemConfig::tiny();
         for &s in Scheme::all() {
             let m = build_mitigation(s, &cfg);
-            assert_eq!(m.name(), s.name());
             // RFM-based schemes must resolve a RAAIMT one way or another.
             if m.uses_rfm() {
                 assert!(
@@ -219,15 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn scheme_names_parse_back() {
+    fn names_are_unique() {
         let mut names: Vec<_> = Scheme::all().iter().map(|s| s.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), Scheme::all().len(), "names are unique");
-        for &s in Scheme::all() {
-            assert_eq!(Scheme::from_name(s.name()), Some(s));
-            assert_eq!(Scheme::from_name(&s.name().to_lowercase()), Some(s));
-        }
-        assert_eq!(Scheme::from_name("nope"), None);
+        assert_eq!(names.len(), Scheme::all().len());
     }
 }
